@@ -19,10 +19,12 @@ are analytic and finite-difference checked in the test suite.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,10 +195,9 @@ def knowledge_inputs(kb: KnowledgeBase) -> KnowledgeInputs:
     )
 
 
-def _segment_forward(params: ModelParams, x: np.ndarray, mask: np.ndarray,
-                     know: KnowledgeInputs):
-    """Forward one caption-window through encoder, residual, and fusion logit."""
-    h, caches = encoder_forward(x, mask, params.encoder)
+def _head_forward(params: ModelParams, h: np.ndarray, mask: np.ndarray,
+                  know: KnowledgeInputs):
+    """Slot attention, importance, gated residual and fusion logit of one encoded segment."""
     count = int(mask.sum())
     hbar = h[mask].sum(axis=0) / count
     protos = know.prototypes
@@ -216,15 +217,14 @@ def _segment_forward(params: ModelParams, x: np.ndarray, mask: np.ndarray,
     p_v = params.w_v @ know.mean_embedding + params.b_v
     dl = params.config.d_latent
     logit = float(params.fuse_w[:dl] @ p_d + params.fuse_w[dl:] @ p_v + params.fuse_b[0])
-    cache = (h, caches, count, hbar, a, c, z, w, u, norm, pooled, p_d, p_v, f_cache)
+    cache = (h, mask, count, a, c, w, u, norm, pooled, p_d, p_v, f_cache)
     return logit, cache
 
 
-def _segment_backward(dlogit: float, params: ModelParams, x: np.ndarray,
-                      mask: np.ndarray, know: KnowledgeInputs, cache,
-                      grads: dict[str, np.ndarray]):
-    """Accumulate analytic gradients for one segment into ``grads``."""
-    h, caches, count, hbar, a, c, z, w, u, norm, pooled, p_d, p_v, f_cache = cache
+def _head_backward(dlogit: float, params: ModelParams, know: KnowledgeInputs, cache,
+                   grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Accumulate one segment's head gradients into ``grads``; returns dL/dh."""
+    h, mask, count, a, c, w, u, norm, pooled, p_d, p_v, f_cache = cache
     dl = params.config.d_latent
     protos = know.prototypes
 
@@ -263,10 +263,7 @@ def _segment_backward(dlogit: float, params: ModelParams, x: np.ndarray,
     da = da * mask[None, :]
     dh += da.T @ protos / math.sqrt(params.config.d_model)
     dh[mask] += dhbar / count
-
-    _, enc_grads = encoder_backward(dh, mask, params.encoder, caches)
-    for name, val in enc_grads.items():
-        grads[f"encoder.{name}"] += val
+    return dh
 
 
 @dataclass
@@ -316,18 +313,88 @@ def video_features(video: VideoRecord, emb_cfg: EmbedderConfig, k_frames: int,
     return VideoFeatures(video_id=video.video_id, target=target, segments=segments)
 
 
-def _video_logit(params: ModelParams, feats: VideoFeatures, know: KnowledgeInputs):
-    """Aggregate segment logits: single segment, or mean of the top-k under MIL."""
-    seg_results = [_segment_forward(params, x, mask, know) for x, mask in feats.segments]
-    logits = np.array([r[0] for r in seg_results])
+class _Segment(NamedTuple):
+    """One encoded segment: its group, its row in that group, and its head."""
+
+    group: int
+    row: int
+    logit: float
+    cache: tuple
+
+
+@dataclass
+class _BatchForward:
+    """Forward state of a list of videos.
+
+    ``videos[v]`` is (aggregated logit, selected segment ids), with segment
+    ids counted across the videos in order; ``groups[g]`` is the (B, T)
+    mask and the encoder caches of one encoder_forward.
+    """
+
+    videos: list[tuple[float, list[int]]]
+    segments: list[_Segment]
+    groups: list[tuple[np.ndarray, list]]
+
+
+def _forward(params: ModelParams, batch: list[VideoFeatures],
+             know: KnowledgeInputs) -> _BatchForward:
+    """The one forward path: train, predict and the MIL windows all use it.
+
+    Segments are grouped by shape and each group takes one encoder_forward;
+    they are never padded, because padding changes the BLAS reduction
+    length and with it the low bits.  The head runs per segment.  A video's
+    logit is its single segment's, or the mean of the top-k under MIL.
+    """
+    xs = [seg for feats in batch for seg in feats.segments]
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for s, (x, _) in enumerate(xs):
+        by_shape.setdefault(x.shape, []).append(s)
+    segments: list = [None] * len(xs)
+    groups = []
+    for ids in by_shape.values():
+        mask = np.stack([xs[s][1] for s in ids])
+        h, caches = encoder_forward(np.stack([xs[s][0] for s in ids]), mask, params.encoder)
+        for row, s in enumerate(ids):
+            logit, cache = _head_forward(params, h[row], mask[row], know)
+            segments[s] = _Segment(len(groups), row, logit, cache)
+        groups.append((mask, caches))
+
+    videos = []
     top_k = params.config.mil_top_k
-    if top_k is None or len(logits) == 1:
-        selected = list(range(len(logits)))[:1]
-    else:
-        k = min(top_k, len(logits))
-        selected = sorted(np.argsort(-logits, kind="stable")[:k].tolist())
-    agg = float(np.mean([logits[i] for i in selected]))
-    return agg, selected, seg_results
+    start = 0
+    for feats in batch:
+        ids = list(range(start, start + len(feats.segments)))
+        start += len(ids)
+        logits = np.array([segments[s].logit for s in ids])
+        if top_k is None or len(logits) == 1:
+            picked = [0]
+        else:
+            k = min(top_k, len(logits))
+            picked = sorted(np.argsort(-logits, kind="stable")[:k].tolist())
+        agg = float(np.mean([logits[i] for i in picked]))
+        videos.append((agg, [ids[i] for i in picked]))
+    return _BatchForward(videos=videos, segments=segments, groups=groups)
+
+
+def _encoder_backward(params: ModelParams, fwd: _BatchForward,
+                      dhs: list[tuple[int, np.ndarray]], grads: dict[str, np.ndarray]) -> None:
+    """Backprop (segment id, dL/dh) pairs, in batch order, through the encoder.
+
+    Each run of consecutive segments from one group takes one
+    encoder_backward, which adds the gradients video by video, so the sums
+    keep the batch order even when segment shapes interleave.  A run that
+    covers only part of its group works on a copy of those rows' caches.
+    """
+    enc_grads = {name[len("encoder."):]: arr for name, arr in grads.items()
+                 if name.startswith("encoder.layers.")}
+    for g, run in itertools.groupby(dhs, key=lambda item: fwd.segments[item[0]].group):
+        run = list(run)
+        rows = [fwd.segments[s].row for s, _ in run]
+        mask, caches = fwd.groups[g]
+        if len(rows) != mask.shape[0]:
+            mask = mask[rows]
+            caches = [tuple(arr[rows] for arr in layer) for layer in caches]
+        encoder_backward(np.stack([dh for _, dh in run]), mask, params.encoder, caches, enc_grads)
 
 
 def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
@@ -340,17 +407,18 @@ def batch_loss_and_grads(params: ModelParams, batch: list[VideoFeatures],
     grads = _zero_grads(params)
     total = 0.0
     n = len(batch)
-    for feats in batch:
-        logit, selected, seg_results = _video_logit(params, feats, know)
+    fwd = _forward(params, batch, know)
+    dhs = []
+    for feats, (logit, selected) in zip(batch, fwd.videos):
         t = feats.target
         # Stable BCE: softplus(logit) - t * logit.
         loss = math.log1p(math.exp(-abs(logit))) + max(logit, 0.0) - t * logit
         total += loss / n
         dlogit = (_sigmoid(logit) - t) / n
         share = dlogit / len(selected)
-        for i in selected:
-            x, mask = feats.segments[i]
-            _segment_backward(share, params, x, mask, know, seg_results[i][1], grads)
+        for s in selected:
+            dhs.append((s, _head_backward(share, params, know, fwd.segments[s].cache, grads)))
+    _encoder_backward(params, fwd, dhs, grads)
     for name, arr in params.tensors().items():
         if arr.ndim >= 2 and l2_weight > 0.0:
             total += l2_weight * float((arr ** 2).sum())
@@ -442,12 +510,12 @@ def predict_video(video: VideoRecord, kb: KnowledgeBase, model: ModelParams,
     k_frames = k_frames if k_frames is not None else model.config.k_frames
     know = knowledge_inputs(kb)
     feats = video_features(video, emb, k_frames, model.config.mil_top_k)
-    logit, selected, seg_results = _video_logit(model, feats, know)
+    fwd = _forward(model, [feats], know)
+    logit, selected = fwd.videos[0]
     y = _sigmoid(logit)
-    cache = seg_results[selected[0]][1]
-    h, p_d = cache[0], cache[10]
-    x0, mask0 = feats.segments[selected[0]]
-    h_d = TokenEmbeddingSeq(vectors=h, mask=mask0.copy())
+    cache = fwd.segments[selected[0]].cache
+    h, p_d = cache[0], cache[9]
+    h_d = TokenEmbeddingSeq(vectors=h, mask=feats.segments[selected[0]][1].copy())
     return y, p_d, h_d
 
 
@@ -475,6 +543,48 @@ def save_model(model: ModelParams, path) -> None:
         fh.write(serialize_model(model))
 
 
+# Smallest allowed value of each integer field of ModelConfig.
+_CONFIG_INT_MINIMA = {"d_model": 1, "num_layers": 0, "num_heads": 1, "d_ff": 1, "d_latent": 1,
+                      "knowledge_dim": 1, "k_frames": 1, "seed": 0}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _header_config(raw) -> ModelConfig:
+    """Check the header's config object against ModelConfig's fields and types."""
+    if not isinstance(raw, dict):
+        raise ModelFormatError("header has no config object")
+    names = {f.name for f in fields(ModelConfig)}
+    required = {f.name for f in fields(ModelConfig) if f.default is MISSING}
+    missing, unknown = sorted(required - set(raw)), sorted(set(raw) - names)
+    if missing or unknown:
+        raise ModelFormatError(
+            f"header config has missing keys {missing} and unknown keys {unknown}"
+        )
+    for name, minimum in _CONFIG_INT_MINIMA.items():
+        if not (_is_int(raw[name]) and raw[name] >= minimum):
+            raise ModelFormatError(
+                f"header config {name} must be an integer >= {minimum}, got {raw[name]!r}"
+            )
+    top_k = raw.get("mil_top_k")
+    if top_k is not None and not (_is_int(top_k) and top_k >= 1):
+        raise ModelFormatError(
+            f"header config mil_top_k must be null or an integer >= 1, got {top_k!r}"
+        )
+    aspects = raw["active_aspects"]
+    if not (isinstance(aspects, list) and all(isinstance(a, str) for a in aspects)):
+        raise ModelFormatError("header config active_aspects must be a list of strings")
+    return ModelConfig.from_dict(raw)
+
+
+def _is_tensor_entry(entry) -> bool:
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(_is_int(n) and n >= 0 for n in entry["shape"]))
+
+
 def load_model(path) -> ModelParams:
     data = open(path, "rb").read()
     if len(data) < 12 or data[:4] != MODEL_MAGIC:
@@ -487,19 +597,27 @@ def load_model(path) -> ModelParams:
         header = json.loads(data[12:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelFormatError(f"corrupt header: {e}", offset=12) from e
+    if not isinstance(header, dict):
+        raise ModelFormatError("header is not a JSON object", offset=12)
     version = header.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported format version {version} (expected {MODEL_FORMAT_VERSION})"
         )
-    cfg = ModelConfig.from_dict(header["config"])
-    model = init_model_params(cfg)
+    cfg = _header_config(header.get("config"))
+    entries = header.get("tensors")
+    if not (isinstance(entries, list) and all(_is_tensor_entry(e) for e in entries)):
+        raise ModelFormatError("header tensor list is not a list of {name, shape} entries")
+    try:
+        model = init_model_params(cfg)
+    except ValidationError as e:
+        raise ModelFormatError(f"header config is inconsistent: {e}") from e
     offset = header_end
     tensors = model.tensors()
-    listed = {t["name"]: tuple(t["shape"]) for t in header["tensors"]}
+    listed = {t["name"]: tuple(t["shape"]) for t in entries}
     if set(listed) != set(tensors):
         raise ModelFormatError("tensor list does not match the model architecture")
-    for entry in header["tensors"]:
+    for entry in entries:
         name, shape = entry["name"], tuple(entry["shape"])
         arr = tensors[name]
         if arr.shape != shape:

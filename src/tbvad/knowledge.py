@@ -189,7 +189,7 @@ class ExtractiveSummarizer:
                 return 0.0
             weighted = [
                 (tf[t] / total_tokens) * math.log(n_docs / df[t]) * self._term_boost(t, prompt.aspect)
-                for t in terms
+                for t in sorted(terms)
             ]
             return float(np.mean(weighted))
 

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
+import reference_step
 from tbvad.classifier import (
+    MODEL_MAGIC,
+    KnowledgeInputs,
     ModelConfig,
     TrainConfig,
+    VideoFeatures,
     batch_loss_and_grads,
     fuse_classify,
     init_model_params,
@@ -269,6 +275,113 @@ class TestModelIO:
             load_model(path)
 
 
+def with_header(raw: bytes, header) -> bytes:
+    """Replace the JSON header of a serialized model, keeping its tensor blocks."""
+    (header_len,) = struct.unpack_from("<Q", raw, 4)
+    body = raw[12 + header_len:]
+    header_bytes = json.dumps(header).encode("utf-8")
+    return MODEL_MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + body
+
+
+def model_header(raw: bytes) -> dict:
+    (header_len,) = struct.unpack_from("<Q", raw, 4)
+    return json.loads(raw[12:12 + header_len])
+
+
+class TestMalformedHeaders:
+    @pytest.fixture(scope="class")
+    def raw(self, tiny_kb):
+        return serialize_model(train(tiny_corpus(), tiny_kb, quick_cfg(epochs=1), EMB))
+
+    def load_with(self, tmp_path, raw, header):
+        path = tmp_path / "model.tbvm"
+        path.write_bytes(with_header(raw, header))
+        return load_model(path)
+
+    def test_list_header_rejected(self, raw, tmp_path):
+        with pytest.raises(ModelFormatError, match="JSON object"):
+            self.load_with(tmp_path, raw, [model_header(raw)])
+
+    def test_missing_config_rejected(self, raw, tmp_path):
+        header = model_header(raw)
+        del header["config"]
+        with pytest.raises(ModelFormatError, match="no config"):
+            self.load_with(tmp_path, raw, header)
+
+    def test_config_missing_keys_rejected(self, raw, tmp_path):
+        header = model_header(raw)
+        del header["config"]["d_model"]
+        del header["config"]["active_aspects"]
+        with pytest.raises(ModelFormatError, match="missing keys"):
+            self.load_with(tmp_path, raw, header)
+
+    def test_config_bad_value_rejected(self, raw, tmp_path):
+        header = model_header(raw)
+        header["config"]["num_heads"] = "two"
+        with pytest.raises(ModelFormatError, match="num_heads"):
+            self.load_with(tmp_path, raw, header)
+
+
+class TestBatchedStepOracle:
+    """The batched step equals the per-video reference bit for bit."""
+
+    @staticmethod
+    def params_for(tiny_kb, **overrides):
+        fields = dict(d_model=EMB.d, num_layers=2, num_heads=2, d_ff=2 * EMB.d, d_latent=8,
+                      knowledge_dim=KEMB.d, k_frames=4, seed=13,
+                      active_aspects=tiny_kb.aspects)
+        fields.update(overrides)
+        params = init_model_params(ModelConfig(**fields))
+        params.gate[0] = 0.5
+        return params
+
+    @staticmethod
+    def varied_videos(counts):
+        texts = NORMAL_TEXTS + ABNORMAL_TEXTS
+        videos = []
+        for i, count in enumerate(counts):
+            label = "abnormal" if i % 2 else "normal"
+            videos.append(make_video(f"v{i}", label, [texts[(i + j) % len(texts)]
+                                                      for j in range(count)]))
+        return videos
+
+    @staticmethod
+    def assert_matches_reference(params, batch, know):
+        loss, grads = batch_loss_and_grads(params, batch, know, 1e-3)
+        ref_loss, ref_grads = reference_step.batch_loss_and_grads(params, batch, know, 1e-3)
+        assert loss == ref_loss
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            assert np.array_equal(grad, ref_grads[name]), name
+
+    def test_mixed_segment_lengths(self, tiny_kb):
+        params = self.params_for(tiny_kb)
+        batch = [video_features(v, EMB, 4, None) for v in self.varied_videos([4, 2, 5, 3, 2, 6, 4])]
+        assert len({f.segments[0][0].shape[0] for f in batch}) == 3
+        self.assert_matches_reference(params, batch, knowledge_inputs(tiny_kb))
+
+    def test_partially_masked_segment(self, tiny_kb):
+        params = self.params_for(tiny_kb)
+        batch = [video_features(v, EMB, 4, None) for v in self.varied_videos([4, 4, 4, 4])]
+        for feats, masked in zip(batch[1:3], ([1, 2], [0])):
+            x, mask = feats.segments[0]
+            mask[masked] = False
+            x[~mask] = 0.0
+        self.assert_matches_reference(params, batch, knowledge_inputs(tiny_kb))
+
+    def test_mil_top_k(self, tiny_kb):
+        params = self.params_for(tiny_kb, k_frames=3, mil_top_k=2)
+        videos = self.varied_videos([7, 2, 8, 5, 3, 8])
+        batch = [video_features(v, EMB, 3, 2) for v in videos]
+        assert max(len(f.segments) for f in batch) > 3
+        self.assert_matches_reference(params, batch, knowledge_inputs(tiny_kb))
+
+    def test_zero_layers(self, tiny_kb):
+        params = self.params_for(tiny_kb, num_layers=0)
+        batch = [video_features(v, EMB, 4, None) for v in self.varied_videos([4, 2, 4, 3])]
+        self.assert_matches_reference(params, batch, knowledge_inputs(tiny_kb))
+
+
 class TestFullGradientCheck:
     def test_all_parameter_groups_match_finite_differences(self, tiny_kb):
         # Small instance covering encoder, both projections, fusion head, and
@@ -280,15 +393,15 @@ class TestFullGradientCheck:
         params = init_model_params(cfg)
         params.gate[0] = 0.5
 
-        from tbvad.classifier import KnowledgeInputs, VideoFeatures
-
         know = KnowledgeInputs(mean_embedding=rng.normal(size=8),
                                prototypes=rng.normal(size=(4, 8)))
+        # The middle video is shorter, so the batch has two segment shapes
+        # and the grouped encoder passes interleave in batch order.
         batch = []
-        for target in (1.0, 0.0):
-            x = rng.normal(size=(4, 8))
-            mask = np.ones(4, dtype=bool)
-            batch.append(VideoFeatures(video_id=f"v{target}", target=target,
+        for target, t in ((1.0, 4), (1.0, 3), (0.0, 4)):
+            x = rng.normal(size=(t, 8))
+            mask = np.ones(t, dtype=bool)
+            batch.append(VideoFeatures(video_id=f"v{len(batch)}", target=target,
                                        segments=[(x, mask)]))
 
         l2 = 1e-3

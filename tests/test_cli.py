@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from tbvad.cli import main
+from tbvad.corpus import save_captions
+from tbvad.synthetic import SyntheticConfig, generate_corpus
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -18,6 +26,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_tbvad(*argv, cwd, hash_seed="0"):
+    """Run the CLI in a fresh interpreter, as a user's shell would."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=hash_seed)
+    return subprocess.run([sys.executable, "-m", "tbvad.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def cli_config(tmp_path, **overrides):
@@ -158,6 +174,19 @@ class TestEvalExplain:
                                "--video-id", "no-such-video")
         assert code == 1
 
+    def test_eval_malformed_model_header_exits_2(self, workspace):
+        raw = workspace["model"].read_bytes()
+        header = json.dumps({"format_version": 1, "tensors": []}).encode("utf-8")
+        bad = workspace["tmp"] / "bad_header.tbvm"
+        bad.write_bytes(raw[:4] + len(header).to_bytes(8, "little") + header)
+        proc = run_tbvad("eval", "--config", workspace["cfg"],
+                         "--captions", str(workspace["data"] / "test.jsonl"),
+                         "--knowledge", str(workspace["kb"]), "--model", str(bad),
+                         cwd=workspace["tmp"])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("runtime error:") and "config" in proc.stderr
+
     def test_caption_stats(self, workspace, capsys):
         code, out, _ = run_cli(capsys, "caption-stats",
                                "--captions", str(workspace["data"] / "train.jsonl"))
@@ -185,6 +214,19 @@ class TestDeterminism:
         assert outs[0][0] == outs[1][0]
         assert outs[0][1] == outs[1][1]
         assert outs[0][2] == outs[1][2]
+
+    def test_knowledge_build_independent_of_hash_seed(self, tmp_path):
+        # Near-tied sentences once swapped places with the string hash seed.
+        corpus, _ = generate_corpus(SyntheticConfig(n_videos=40, seed=1, source_tag="hashseed"))
+        save_captions(corpus, tmp_path / "train.jsonl")
+        digests = []
+        for hash_seed in ("0", "3"):
+            out = tmp_path / f"kb_{hash_seed}.json"
+            proc = run_tbvad("build-knowledge", "--captions", str(tmp_path / "train.jsonl"),
+                             "--out", str(out), "--extractive", cwd=tmp_path, hash_seed=hash_seed)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
 
     def test_run_log_appended(self, tmp_path, capsys):
         cfg = cli_config(tmp_path)

@@ -67,7 +67,7 @@ def naive_layer_forward(x, layer, mask, nh):
     out = []
     for i in range(t):
         f1 = [sum(layer.w1[m][j] * w_rows[i][j] for j in range(d)) + layer.c1[m] for m in range(d_ff)]
-        h1 = [float(gelu(np.array([val]))[0]) for val in f1]
+        h1 = [float(gelu(np.array([val]))[0][0]) for val in f1]
         f2 = [sum(layer.w2[a][m] * h1[m] for m in range(d_ff)) + layer.c2[a] for a in range(d)]
         out.append([a_res[i][j] + f2[j] for j in range(d)])
     return np.array(out)
@@ -93,7 +93,8 @@ class TestEncodeDescriptions:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(4, 8))
         mask = np.ones(4, dtype=bool)
-        got, _ = encoder_forward(x, mask, params)
+        got, _ = encoder_forward(x[None], mask[None], params)
+        got = got[0]
         expected = naive_layer_forward(x * math.sqrt(8) + sinusoidal_positions(4, 8), params.layers[0], mask, 2)
         assert np.max(np.abs(got - expected)) <= 1e-8
 
@@ -103,7 +104,8 @@ class TestEncodeDescriptions:
         mask = np.array([True, True, False, True])
         x = rng.normal(size=(4, 8))
         x[2] = 0.0
-        got, _ = encoder_forward(x, mask, params)
+        got, _ = encoder_forward(x[None], mask[None], params)
+        got = got[0]
         expected = naive_layer_forward(x * math.sqrt(8) + sinusoidal_positions(4, 8), params.layers[0], mask, 4)
         expected[~mask] = 0.0
         assert np.max(np.abs(got - expected)) <= 1e-8
@@ -120,15 +122,21 @@ class TestEncodeDescriptions:
         params = init_encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=4, seed=5)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 8))
-        h1, _ = encoder_forward(x, np.ones(4, dtype=bool), params)
         perm = np.array([2, 0, 3, 1])
-        h2, _ = encoder_forward(x[perm], np.ones(4, dtype=bool), params)
-        assert not np.allclose(h1[perm], h2)
+        h, _ = encoder_forward(np.stack([x, x[perm]]), np.ones((2, 4), dtype=bool), params)
+        assert not np.allclose(h[0][perm], h[1])
 
     def test_dimension_mismatch_rejected(self):
         params = init_encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=4, seed=6)
         with pytest.raises(ValidationError, match="d_model"):
             encode_descriptions(seq(np.zeros((3, 6))), params)
+
+    def test_fully_masked_video_in_batch_rejected(self):
+        params = init_encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=4, seed=6)
+        mask = np.ones((3, 4), dtype=bool)
+        mask[1] = False
+        with pytest.raises(ValidationError, match="unmasked"):
+            encoder_forward(np.zeros((3, 4, 8)), mask, params)
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nan_names_layer(self):
@@ -211,18 +219,19 @@ class TestEncoderGradients:
         r = rng.normal(size=5)
 
         def loss_only():
-            h, _ = encoder_forward(x, mask, params)
-            pooled = h[mask].sum(axis=0) / mask.sum()
+            h, _ = encoder_forward(x[None], mask[None], params)
+            pooled = h[0][mask].sum(axis=0) / mask.sum()
             return float(r @ (params.w_d @ pooled + params.b_d))
 
         # Analytic gradients of loss = r . project(encode(x)).
-        h, caches = encoder_forward(x, mask, params)
+        h, caches = encoder_forward(x[None], mask[None], params)
+        h = h[0]
         pooled = h[mask].sum(axis=0) / mask.sum()
         analytic = {"w_d": np.outer(r, pooled), "b_d": r.copy()}
         dpooled = params.w_d.T @ r
         dh = np.zeros_like(h)
         dh[mask] = dpooled / mask.sum()
-        _, enc_grads = encoder_backward(dh, mask, params, caches)
+        _, enc_grads = encoder_backward(dh[None], mask[None], params, caches)
         analytic.update(enc_grads)
 
         eps = 1e-5
