@@ -18,11 +18,14 @@ are analytic and finite-difference checked in the test suite.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import itertools
 import json
 import math
 import struct
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -438,6 +441,36 @@ def sgd_update(params: ModelParams, grads: dict[str, np.ndarray], lr: float,
         arr[...] = f32_exact(arr - lr * grads[name])
 
 
+# glibc mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _retain_freed_heap() -> None:
+    """Keep the heap memory a training step frees for the next step.
+
+    A batched step allocates its layer caches (a few MB) and frees them
+    when it ends.  glibc returns a free heap top larger than its trim
+    threshold to the kernel, and by default that threshold sits near twice
+    the largest block it has unmapped, well below the step's size, so
+    every step page-faulted its memory back in.  This sets both thresholds
+    to the ceilings glibc's own adaptive policy stops at (32 MiB mmap,
+    64 MiB trim).  The setting is process-wide and made once; off glibc
+    it does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def train(train_corpus: CaptionCorpus, kb: KnowledgeBase, cfg: TrainConfig,
           emb: EmbedderConfig, history: list[float] | None = None) -> ModelParams:
     """Weakly supervised training loop; returns the trained parameters.
@@ -459,6 +492,7 @@ def train(train_corpus: CaptionCorpus, kb: KnowledgeBase, cfg: TrainConfig,
         knowledge_dim=kb.embedder.d, k_frames=cfg.k_frames, seed=cfg.seed,
         active_aspects=kb.aspects, mil_top_k=cfg.mil_top_k,
     )
+    _retain_freed_heap()
     params = init_model_params(model_cfg)
     know = knowledge_inputs(kb)
     embedder = make_embedder(emb)
