@@ -152,13 +152,18 @@ def resolve_config(args) -> dict:
     return cfg
 
 
+def _cache_dir(cfg: dict) -> str | None:
+    """The configured cache directory, else TBVAD_CACHE_DIR, else none."""
+    cache_dir = cfg["embedder"].get("cache_dir") or default_cache_dir()
+    return str(cache_dir) if cache_dir else None
+
+
 def _embedder_configs(cfg: dict) -> tuple[EmbedderConfig, EmbedderConfig]:
     emb_cfg = cfg["embedder"]
     endpoint = cfg.get("endpoints", {}).get("embed") or emb_cfg.get("endpoint")
     backend = "remote" if endpoint else emb_cfg.get("backend", "hash")
-    cache_dir = emb_cfg.get("cache_dir") or (str(default_cache_dir()) if default_cache_dir() else None)
     common = dict(backend=backend, d=emb_cfg["d"], endpoint=endpoint,
-                  cache_dir=cache_dir, seed=cfg["seed"],
+                  cache_dir=_cache_dir(cfg), seed=cfg["seed"],
                   max_parallel=emb_cfg.get("max_parallel", 4))
     desc = EmbedderConfig(max_tokens=emb_cfg["max_tokens"], **common)
     know = EmbedderConfig(max_tokens=emb_cfg.get("knowledge_max_tokens", 4096), **common)
@@ -188,9 +193,7 @@ def _summarizer(cfg: dict, args):
     gen_endpoint = cfg.get("endpoints", {}).get("generate")
     if getattr(args, "extractive", False) or not gen_endpoint:
         return ExtractiveSummarizer()
-    emb_cfg = cfg["embedder"]
-    cache_dir = emb_cfg.get("cache_dir") or (str(default_cache_dir()) if default_cache_dir() else None)
-    return RemoteGenerator(gen_endpoint, cache_dir=cache_dir)
+    return RemoteGenerator(gen_endpoint, cache_dir=_cache_dir(cfg))
 
 
 def _prompts(cfg: dict) -> dict[str, AspectPrompt]:
@@ -315,10 +318,8 @@ def cmd_build_knowledge(args) -> int:
 
 def _load_kb(args, cfg: dict):
     embed_endpoint = cfg.get("endpoints", {}).get("embed")
-    emb_cfg = cfg["embedder"]
-    cache_dir = emb_cfg.get("cache_dir") or (str(default_cache_dir()) if default_cache_dir() else None)
-    return load_knowledge(args.knowledge, endpoint=embed_endpoint, cache_dir=cache_dir,
-                          max_tokens=emb_cfg.get("knowledge_max_tokens", 4096))
+    return load_knowledge(args.knowledge, endpoint=embed_endpoint, cache_dir=_cache_dir(cfg),
+                          max_tokens=cfg["embedder"].get("knowledge_max_tokens", 4096))
 
 
 def cmd_train(args) -> int:
@@ -387,9 +388,7 @@ def cmd_explain(args) -> int:
     gen_endpoint = cfg.get("endpoints", {}).get("generate")
     backend = None
     if gen_endpoint:
-        emb_cfg = cfg["embedder"]
-        cache_dir = emb_cfg.get("cache_dir") or (str(default_cache_dir()) if default_cache_dir() else None)
-        backend = RemoteGenerator(gen_endpoint, cache_dir=cache_dir)
+        backend = RemoteGenerator(gen_endpoint, cache_dir=_cache_dir(cfg))
     record = attach_rationale(record, backend)
     out_dir = Path(args.out).parent if getattr(args, "out", None) else Path(".")
     with _output_lock(out_dir):

@@ -11,6 +11,10 @@ Two interchangeable backends produce per-token embedding sequences:
   at most 64, fetched with bounded parallelism, and cached on disk so a
   rerun issues no network requests.
 
+Both keep every token vector they produce in memory for the life of the
+embedder, and ``embed_captions`` looks up the distinct tokens of many texts
+in one call.
+
 All vectors are float32-valued (stored in float64 arrays) so cache hits and
 misses return bit-identical data.
 """
@@ -106,12 +110,37 @@ def _hash_token_vector(token: str, d: int, seed: int) -> np.ndarray:
     return vec
 
 
-class HashEmbedder:
-    """Deterministic offline feature-hashing embedder."""
+class _TokenEmbedder:
+    """Shared contract of both backends: token lookup, sequences and pooling.
+
+    A backend supplies ``_lookup(tokens)``, one vector per token, and keeps
+    every vector it has produced in ``_token_cache``, so one instance looks
+    each distinct token up once.
+    """
 
     def __init__(self, cfg: EmbedderConfig):
         self.cfg = cfg
         self._token_cache: dict[str, np.ndarray] = {}
+
+    def _tokens(self, text: str) -> list[str]:
+        tokens = tokenize(text)[: self.cfg.max_tokens]
+        if not tokens:
+            raise ValidationError(f"text has no tokens to embed: {text!r}")
+        return tokens
+
+    def embed_tokens(self, text: str) -> TokenEmbeddingSeq:
+        tokens = self._tokens(text)
+        vectors = np.stack(self._lookup(tokens))
+        return TokenEmbeddingSeq(vectors=vectors, mask=np.ones(len(tokens), dtype=bool))
+
+    def embed_captions(self, texts: list[str]) -> list[np.ndarray]:
+        """Mean-pooled embedding of each text, with every distinct token looked up in one call."""
+        self._lookup(list(dict.fromkeys(t for text in texts for t in self._tokens(text))))
+        return [mean_pool(self.embed_tokens(text)) for text in texts]
+
+
+class HashEmbedder(_TokenEmbedder):
+    """Deterministic offline feature-hashing embedder."""
 
     def token_vector(self, token: str) -> np.ndarray:
         vec = self._token_cache.get(token)
@@ -123,15 +152,11 @@ class HashEmbedder:
             self._token_cache[token] = vec
         return vec
 
-    def embed_tokens(self, text: str) -> TokenEmbeddingSeq:
-        tokens = tokenize(text)[: self.cfg.max_tokens]
-        if not tokens:
-            raise ValidationError(f"text has no tokens to embed: {text!r}")
-        vectors = np.stack([self.token_vector(t) for t in tokens])
-        return TokenEmbeddingSeq(vectors=vectors, mask=np.ones(len(tokens), dtype=bool))
+    def _lookup(self, tokens: list[str]) -> list[np.ndarray]:
+        return [self.token_vector(t) for t in tokens]
 
 
-class RemoteEmbedder:
+class RemoteEmbedder(_TokenEmbedder):
     """Client for the HTTP embedding service with disk cache and retries.
 
     Wire protocol: POST {endpoint}/embed with {"texts": [...], "dim": d}
@@ -142,7 +167,7 @@ class RemoteEmbedder:
     def __init__(self, cfg: EmbedderConfig):
         if not cfg.endpoint:
             raise ValidationError("remote embedder requires an endpoint")
-        self.cfg = cfg
+        super().__init__(cfg)
         cache_dir = cfg.cache_dir or default_cache_dir()
         self.cache = VectorCache(Path(cache_dir) / "embed") if cache_dir else None
 
@@ -163,23 +188,24 @@ class RemoteEmbedder:
         return out
 
     def embed_texts(self, texts: list[str]) -> list[np.ndarray]:
-        """Embed a list of strings, one vector each, via cache then batched fetch."""
-        results: list[np.ndarray | None] = [None] * len(texts)
-        keys = [VectorCache.key(self.cfg.endpoint, self.cfg.d, t) for t in texts]
-        missing_idx: dict[str, list[int]] = {}
-        for i, (text, key) in enumerate(zip(texts, keys)):
+        """Embed a list of strings, one vector each: memory, then disk cache, then batched fetch."""
+        missing: dict[str, str | None] = {}
+        for text in dict.fromkeys(texts):
+            if text in self._token_cache:
+                continue
+            key = VectorCache.key(self.cfg.endpoint, self.cfg.d, text) if self.cache else None
             cached = self.cache.get(key) if self.cache else None
-            if cached is not None:
-                if cached.shape != (self.cfg.d,):
-                    raise ValidationError(
-                        f"cached embedding has dim {cached.shape} but config requires ({self.cfg.d},)"
-                    )
-                results[i] = cached
-            else:
-                missing_idx.setdefault(text, []).append(i)
+            if cached is None:
+                missing[text] = key
+                continue
+            if cached.shape != (self.cfg.d,):
+                raise ValidationError(
+                    f"cached embedding has dim {cached.shape} but config requires ({self.cfg.d},)"
+                )
+            self._token_cache[text] = np.asarray(cached, dtype=np.float64)
 
-        unique_missing = list(missing_idx.keys())
-        if unique_missing:
+        if missing:
+            unique_missing = list(missing)
             batches = [unique_missing[i:i + MAX_BATCH_TEXTS]
                        for i in range(0, len(unique_missing), MAX_BATCH_TEXTS)]
             workers = max(1, min(self.cfg.max_parallel, len(batches)))
@@ -191,17 +217,12 @@ class RemoteEmbedder:
             for batch, vecs in zip(batches, fetched):
                 for text, vec in zip(batch, vecs):
                     if self.cache:
-                        self.cache.put(VectorCache.key(self.cfg.endpoint, self.cfg.d, text), vec)
-                    for i in missing_idx[text]:
-                        results[i] = vec
-        return [np.asarray(r, dtype=np.float64) for r in results]
+                        self.cache.put(missing[text], vec)
+                    self._token_cache[text] = np.asarray(vec, dtype=np.float64)
+        return [self._token_cache[t] for t in texts]
 
-    def embed_tokens(self, text: str) -> TokenEmbeddingSeq:
-        tokens = tokenize(text)[: self.cfg.max_tokens]
-        if not tokens:
-            raise ValidationError(f"text has no tokens to embed: {text!r}")
-        vectors = np.stack(self.embed_texts(tokens))
-        return TokenEmbeddingSeq(vectors=vectors, mask=np.ones(len(tokens), dtype=bool))
+    def _lookup(self, tokens: list[str]) -> list[np.ndarray]:
+        return self.embed_texts(tokens)
 
 
 def make_embedder(cfg: EmbedderConfig) -> HashEmbedder | RemoteEmbedder:

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import TrainConfig, predict_video, train
+# Nothing here calls predict_video any more, but the benchmark's traced run
+# (perfbench/spans.py) wraps it under this module's name, so it stays bound.
+from .classifier import TrainConfig, predict_video, predict_videos, train  # noqa: F401
 from .corpus import CaptionCorpus, group_by_class
 from .embedding import EmbedderConfig, tokenize
 from .errors import TbvadError, ValidationError
@@ -258,11 +260,8 @@ def run_pipeline(train_corpus: CaptionCorpus, cfg: PipelineConfig,
 
 def score_corpus(corpus: CaptionCorpus, kb, model, emb: EmbedderConfig):
     """Per-video anomaly scores and 0/1 labels (abnormal = 1), in corpus order."""
-    scores, labels = [], []
-    for video in corpus.videos:
-        y, _, _ = predict_video(video, kb, model, emb)
-        scores.append(y)
-        labels.append(1 if video.label == "abnormal" else 0)
+    scores = [y for y, _, _ in predict_videos(corpus.videos, kb, model, emb)]
+    labels = [1 if video.label == "abnormal" else 0 for video in corpus.videos]
     return scores, labels
 
 

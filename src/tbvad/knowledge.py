@@ -365,27 +365,51 @@ def load_knowledge(path: str | Path, endpoint: str | None = None,
     """Load a knowledge JSON file, recomputing prototypes and sentence embeddings.
 
     Embeddings are never serialized; the stored (backend, dim, seed) triple
-    plus the caller-supplied endpoint/cache settings reconstruct them.
+    plus the caller-supplied endpoint/cache settings reconstruct them.  A
+    file that does not match the schema raises ValidationError.
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ValidationError(f"knowledge file {path} is not valid JSON: {e}") from e
+    if not isinstance(raw, dict):
+        raise ValidationError(f"knowledge file {path} is not a JSON object")
     for key in ("aspects", "classes", "embedder"):
         if key not in raw:
             raise ValidationError(f"knowledge file {path} is missing the {key!r} key")
     emb = raw["embedder"]
+    # type() rather than isinstance(): a JSON true or false is not a dim or seed.
+    if not (isinstance(emb, dict) and isinstance(emb.get("backend"), str)
+            and type(emb.get("dim")) is int and type(emb.get("seed")) is int):
+        raise ValidationError(
+            f"knowledge file {path}: embedder must be an object with a string backend "
+            f"and integer dim and seed, got {emb!r}"
+        )
     cfg = EmbedderConfig(
         backend=emb["backend"], d=emb["dim"], seed=emb["seed"],
         max_tokens=max_tokens, endpoint=endpoint, cache_dir=cache_dir,
     )
+    if not (isinstance(raw["aspects"], list) and all(isinstance(a, str) for a in raw["aspects"])):
+        raise ValidationError(f"knowledge file {path}: aspects must be a list of strings")
     aspects = validate_aspects(raw["aspects"])
+    if not isinstance(raw["classes"], dict):
+        raise ValidationError(f"knowledge file {path}: classes must be an object")
     slots: dict[tuple[str, str], SlotSummary] = {}
     for v in CLASSES:
         if v not in raw["classes"]:
             raise ValidationError(f"knowledge file {path} is missing class {v!r}")
+        slots_v = raw["classes"][v]
+        if not isinstance(slots_v, dict):
+            raise ValidationError(f"knowledge file {path}: class {v!r} must be an object")
         for aspect in aspects:
-            if aspect not in raw["classes"][v]:
+            if aspect not in slots_v:
                 raise ValidationError(f"knowledge file {path} is missing slot ({v!r}, {aspect!r})")
-            slots[(v, aspect)] = SlotSummary(class_v=v, aspect=aspect,
-                                             text=raw["classes"][v][aspect]["text"])
+            slot = slots_v[aspect]
+            if not (isinstance(slot, dict) and isinstance(slot.get("text"), str)):
+                raise ValidationError(
+                    f"knowledge file {path}: slot ({v!r}, {aspect!r}) needs a string text"
+                )
+            slots[(v, aspect)] = SlotSummary(class_v=v, aspect=aspect, text=slot["text"])
     return KnowledgeBase(aspects=aspects, slots=slots, embedder=cfg)
 
 
@@ -419,7 +443,8 @@ def knowledge_mean_embedding(kb: KnowledgeBase) -> np.ndarray:
     so its knowledge input averages both classes; class-conditioned
     prototypes are reserved for the reasoning branch.
     """
-    pools = [mean_pool(embed_tokens(kb.joined_text(v), kb.embedder)) for v in CLASSES]
+    emb = make_embedder(kb.embedder)
+    pools = [mean_pool(emb.embed_tokens(kb.joined_text(v))) for v in CLASSES]
     return 0.5 * (pools[0] + pools[1])
 
 

@@ -1,9 +1,10 @@
 """HTTP plumbing shared by the remote embedding and generation clients.
 
 Both services are simple JSON-over-POST endpoints.  Calls are retried on
-connection/timeout/5xx failures, and responses are cached on disk so reruns
-are idempotent and issue zero network requests.  Cache writes go through a
-temp file + rename so concurrent writers cannot leave partial files.
+connection, timeout, 5xx, 408 and 429 failures, and responses are cached on
+disk so reruns are idempotent and issue zero network requests.  Cache writes
+go through a temp file + rename so concurrent writers cannot leave partial
+files.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_TIMEOUT_MS = 30_000
 DEFAULT_RETRIES = 3
 _COUNT_HEADER = struct.Struct("<Q")
+# Client errors worth a retry: request timeout and too many requests.
+_RETRIABLE_4XX = (408, 429)
 
 
 def http_timeout_seconds() -> float:
@@ -46,8 +49,10 @@ def post_json(url: str, payload: dict, retries: int = DEFAULT_RETRIES,
               backoff_s: float = 0.2, session: requests.Session | None = None) -> dict:
     """POST a JSON payload, retrying transient failures.
 
-    Raises RemoteServiceError carrying the attempt count once retries are
-    exhausted.  Non-200 responses are treated as retriable.
+    Connection errors, timeouts, invalid JSON and non-200 responses are
+    retried, except a 4xx other than 408 (timeout) and 429 (too many
+    requests): the request itself is at fault, so it fails at once.
+    Raises RemoteServiceError carrying the attempt count.
     """
     sess = session or requests
     timeout = http_timeout_seconds()
@@ -65,6 +70,8 @@ def post_json(url: str, payload: dict, retries: int = DEFAULT_RETRIES,
                     last_error = f"invalid JSON in response: {e}"
             else:
                 last_error = f"HTTP {resp.status_code}"
+                if 400 <= resp.status_code < 500 and resp.status_code not in _RETRIABLE_4XX:
+                    raise RemoteServiceError(f"POST {url} failed: {last_error}", attempts=attempt)
         if attempt < retries:
             time.sleep(backoff_s * attempt)
     raise RemoteServiceError(f"POST {url} failed: {last_error}", attempts=retries)

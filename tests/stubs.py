@@ -11,14 +11,15 @@ class StubService:
     """A tiny HTTP server serving /embed and /generate, recording every request.
 
     ``embed_fn(text, dim) -> list[float]`` and ``generate_fn(prompt) -> str``
-    control responses.  ``fail_times`` makes the first N requests return 500,
-    for retry tests.
+    control responses.  ``fail_times`` makes the first N requests return
+    ``status`` (500 by default), for retry tests.
     """
 
-    def __init__(self, embed_fn=None, generate_fn=None, fail_times: int = 0):
+    def __init__(self, embed_fn=None, generate_fn=None, fail_times: int = 0, status: int = 500):
         self.embed_fn = embed_fn or (lambda text, dim: [float(len(text))] * dim)
         self.generate_fn = generate_fn or (lambda prompt: "stub summary.")
         self.fail_times = fail_times
+        self.status = status
         self.requests: list[dict] = []
         self._lock = threading.Lock()
 
@@ -32,7 +33,7 @@ class StubService:
                     stub.requests.append({"path": self.path, "body": body})
                     if stub.fail_times > 0:
                         stub.fail_times -= 1
-                        self.send_response(500)
+                        self.send_response(stub.status)
                         self.end_headers()
                         return
                 if self.path == "/embed":

@@ -16,6 +16,7 @@ from tbvad.classifier import (
     ModelConfig,
     TrainConfig,
     VideoFeatures,
+    _sigmoid,
     batch_loss_and_grads,
     fuse_classify,
     init_model_params,
@@ -23,18 +24,21 @@ from tbvad.classifier import (
     load_model,
     model_digest,
     predict_video,
+    predict_videos,
     save_model,
     serialize_model,
     sgd_update,
     train,
     video_features,
 )
-from tbvad.corpus import CaptionCorpus
-from tbvad.embedding import EmbedderConfig
+from tbvad.corpus import CaptionCorpus, sample_evenly
+from tbvad.embedding import EmbedderConfig, tokenize
 from tbvad.errors import ModelFormatError, TbvadError, ValidationError
+from tbvad.evaluation import score_corpus
 from tbvad.knowledge import build_knowledge, default_prompts
 
 from conftest import make_video
+from stubs import StubService
 
 EMB = EmbedderConfig(backend="hash", d=16, max_tokens=512, seed=3)
 KEMB = EmbedderConfig(backend="hash", d=16, max_tokens=4096, seed=3)
@@ -404,6 +408,64 @@ class TestBatchedStepOracle:
         params = self.params_for(tiny_kb, num_layers=0)
         batch = [video_features(v, EMB, 4, None) for v in self.varied_videos([4, 2, 4, 3])]
         self.assert_matches_reference(params, batch, knowledge_inputs(tiny_kb))
+
+
+class TestBatchedScoringOracle:
+    """Scoring a corpus in 16-video chunks equals scoring each video alone."""
+
+    @staticmethod
+    def corpus(n=40, marker=False):
+        # Every fourth video has 3 captions, fewer than k_frames=4, so each
+        # chunk's encoder runs on two segment lengths.
+        texts = NORMAL_TEXTS + ABNORMAL_TEXTS
+        videos = []
+        for i in range(n):
+            count = 3 if i % 4 == 1 else 4 + i % 5
+            caps = [texts[(i + j) % len(texts)] + (f" mark{i}x{j}" if marker else "")
+                    for j in range(count)]
+            videos.append(make_video(f"v{i}", "abnormal" if i % 2 else "normal", caps))
+        return CaptionCorpus(videos=tuple(videos), source_tag="oracle")
+
+    @pytest.mark.parametrize("mil_top_k", [None, 2])
+    def test_score_corpus_equals_per_video(self, tiny_kb, mil_top_k):
+        params = TestBatchedStepOracle.params_for(tiny_kb, mil_top_k=mil_top_k)
+        corpus = self.corpus()
+        feats = [video_features(v, EMB, 4, mil_top_k) for v in corpus.videos]
+        assert {x.shape[0] for f in feats for x, _ in f.segments} == {3, 4}
+        scores, labels = score_corpus(corpus, tiny_kb, params, EMB)
+        assert labels == [i % 2 for i in range(40)]
+        per_video = [predict_video(v, tiny_kb, params, EMB)[0] for v in corpus.videos]
+        assert np.array_equal(scores, per_video)
+        # The per-video forward from before batching is the reference.
+        know = knowledge_inputs(tiny_kb)
+        reference = [_sigmoid(reference_step.video_logit(params, f, know)[0]) for f in feats]
+        assert np.array_equal(scores, reference)
+
+    def test_predict_videos_returns_each_videos_intermediates(self, tiny_kb):
+        params = TestBatchedStepOracle.params_for(tiny_kb)
+        videos = self.corpus(n=20).videos
+        batched = predict_videos(videos, tiny_kb, params, EMB, k_frames=5)
+        for video, (y, p_d, h_d) in zip(videos, batched):
+            y1, p_d1, h_d1 = predict_video(video, tiny_kb, params, EMB, k_frames=5)
+            assert y == y1 and np.array_equal(p_d, p_d1)
+            assert np.array_equal(h_d.vectors, h_d1.vectors) and np.array_equal(h_d.mask, h_d1.mask)
+            assert h_d.t == min(5, len(video.captions))
+
+    def test_cold_remote_score_fetches_distinct_tokens_once(self, tiny_kb, tmp_path):
+        params = TestBatchedStepOracle.params_for(tiny_kb)
+        corpus = self.corpus(marker=True)
+        distinct = {t for v in corpus.videos for c in sample_evenly(v, params.config.k_frames)
+                    for t in tokenize(c.text)}
+        assert len(distinct) > 128
+        with StubService() as svc:
+            emb = EmbedderConfig(backend="remote", d=EMB.d, endpoint=svc.endpoint,
+                                 cache_dir=str(tmp_path / "cache"), seed=0)
+            cold, _ = score_corpus(corpus, tiny_kb, params, emb)
+            assert svc.request_count == -(-len(distinct) // 64)
+            assert all(r["path"] == "/embed" for r in svc.requests)
+            warm, _ = score_corpus(corpus, tiny_kb, params, emb)
+            assert svc.request_count == -(-len(distinct) // 64)
+        assert np.array_equal(cold, warm)
 
 
 class TestFullGradientCheck:

@@ -187,6 +187,19 @@ class TestEvalExplain:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("runtime error:") and "config" in proc.stderr
 
+    def test_eval_malformed_knowledge_exits_1(self, workspace):
+        raw = json.loads(workspace["kb"].read_text(encoding="utf-8"))
+        del raw["classes"]["a"]["object"]["text"]
+        bad = workspace["tmp"] / "bad_kb.json"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        proc = run_tbvad("eval", "--config", workspace["cfg"],
+                         "--captions", str(workspace["data"] / "test.jsonl"),
+                         "--knowledge", str(bad), "--model", str(workspace["model"]),
+                         cwd=workspace["tmp"])
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and "('a', 'object')" in proc.stderr
+
     def test_caption_stats(self, workspace, capsys):
         code, out, _ = run_cli(capsys, "caption-stats",
                                "--captions", str(workspace["data"] / "train.jsonl"))

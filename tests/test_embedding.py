@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tbvad.embedding import (
     EmbedderConfig,
+    HashEmbedder,
     RemoteEmbedder,
     TokenEmbeddingSeq,
     cosine_similarity,
@@ -22,6 +23,12 @@ HASH64 = EmbedderConfig(backend="hash", d=64, max_tokens=512, seed=7)
 
 
 class TestHashEmbedder:
+    def test_embed_captions_equals_pooled_embed_tokens(self):
+        texts = ["a man runs across the street", "the man stops", "A man runs."]
+        pooled = HashEmbedder(HASH64).embed_captions(texts)
+        for text, vec in zip(texts, pooled):
+            assert np.array_equal(vec, mean_pool(embed_tokens(text, HASH64)))
+
     def test_determinism(self):
         a = embed_tokens("a man runs across the street", HASH64)
         b = embed_tokens("a man runs across the street", HASH64)
@@ -179,6 +186,47 @@ class TestRemoteEmbedder:
             seq = embed_tokens("epsilon", self.cfg(svc.endpoint, tmp_path))
             assert seq.t == 1
             assert svc.request_count == 3
+
+    @pytest.mark.parametrize("status", [400, 404, 422])
+    def test_permanent_client_error_fails_at_once(self, tmp_path, status):
+        with StubService(fail_times=99, status=status) as svc:
+            with pytest.raises(RemoteServiceError, match=f"HTTP {status}.*1 attempt"):
+                embed_tokens("zeta", self.cfg(svc.endpoint, tmp_path))
+            assert svc.request_count == 1
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_throttled_request_is_retried(self, tmp_path, status):
+        with StubService(fail_times=2, status=status) as svc:
+            assert embed_tokens("zeta", self.cfg(svc.endpoint, tmp_path)).t == 1
+            assert svc.request_count == 3
+
+    def test_instance_reads_each_token_once(self, monkeypatch):
+        monkeypatch.delenv("TBVAD_CACHE_DIR", raising=False)
+        with StubService() as svc:
+            cfg = EmbedderConfig(backend="remote", d=8, endpoint=svc.endpoint, seed=0)
+            emb = RemoteEmbedder(cfg)
+            assert emb.cache is None
+            first = emb.embed_tokens("theta iota theta")
+            assert svc.request_count == 1
+            second = emb.embed_tokens("iota theta")
+            assert svc.request_count == 1
+            assert np.array_equal(second.vectors, first.vectors[[1, 0]])
+
+    def test_embed_captions_fetches_distinct_tokens_together(self, tmp_path):
+        texts = [" ".join(f"w{(7 * i + j) % 150}" for j in range(12)) for i in range(40)]
+        distinct = {t for text in texts for t in tokenize(text)}
+        assert len(distinct) > 128
+        with StubService() as svc:
+            cfg = self.cfg(svc.endpoint, tmp_path)
+            pooled = RemoteEmbedder(cfg).embed_captions(texts)
+            assert svc.request_count == -(-len(distinct) // 64)
+            assert sum(len(r["body"]["texts"]) for r in svc.requests) == len(distinct)
+            # A fresh instance reads the same vectors back from the disk cache.
+            again = RemoteEmbedder(cfg).embed_captions(texts)
+            assert svc.request_count == -(-len(distinct) // 64)
+            for text, vec, vec_again in zip(texts, pooled, again):
+                assert np.array_equal(vec, mean_pool(embed_tokens(text, cfg)))
+                assert np.array_equal(vec, vec_again)
 
     def test_failure_carries_attempt_count(self, tmp_path):
         with StubService(fail_times=99) as svc:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,40 @@ class TestKnowledgeIO:
         path = tmp_path / "kb.json"
         path.write_text('{"aspects": ["context"]}', encoding="utf-8")
         with pytest.raises(ValidationError):
+            load_knowledge(path)
+
+    @staticmethod
+    def _without_text(raw):
+        del raw["classes"]["n"]["context"]["text"]
+
+    @staticmethod
+    def _without_dim(raw):
+        del raw["embedder"]["dim"]
+
+    @staticmethod
+    def _string_dim(raw):
+        raw["embedder"]["dim"] = "32"
+
+    @staticmethod
+    def _numeric_text(raw):
+        raw["classes"]["a"]["action"]["text"] = 42
+
+    @staticmethod
+    def _class_list(raw):
+        raw["classes"]["a"] = list(ASPECTS)
+
+    @pytest.mark.parametrize("edit", ["_without_text", "_without_dim", "_string_dim",
+                                      "_numeric_text", "_class_list", "invalid JSON"])
+    def test_malformed_file_raises_validation_error(self, tmp_path, edit):
+        raw = small_kb().to_dict()
+        if edit == "invalid JSON":
+            text = '{"aspects": ["context"'
+        else:
+            getattr(self, edit)(raw)
+            text = json.dumps(raw)
+        path = tmp_path / "kb.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match="kb.json"):
             load_knowledge(path)
 
 
