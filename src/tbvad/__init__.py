@@ -10,7 +10,6 @@ explanation records for each decision.
 from .classifier import (
     ModelParams,
     TrainConfig,
-    fuse_classify,
     load_model,
     model_digest,
     predict_video,
@@ -28,7 +27,7 @@ from .corpus import (
     sentence_split,
 )
 from .embedding import EmbedderConfig, TokenEmbeddingSeq, cosine_similarity, embed_tokens, mean_pool
-from .encoder import EncoderParams, encode_descriptions, project_description
+from .encoder import EncoderParams
 from .errors import ModelFormatError, RemoteServiceError, TbvadError, ValidationError
 from .evaluation import (
     AblationRow,
@@ -51,7 +50,6 @@ from .knowledge import (
     KnowledgeBase,
     SlotSummary,
     build_knowledge,
-    encode_knowledge,
     load_knowledge,
     save_knowledge,
     summarize_aspect,

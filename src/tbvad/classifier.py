@@ -48,6 +48,7 @@ from .knowledge import (
 )
 from .reasoning import (
     ImportanceParams,
+    attend,
     importance_backward,
     importance_forward,
     init_importance_params,
@@ -170,19 +171,6 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def fuse_classify(p_d: np.ndarray, p_v: np.ndarray, params: ModelParams) -> float:
-    """Anomaly probability sigmoid(W [P_d; P_V] + b), description first."""
-    dl = params.config.d_latent
-    p_d = np.asarray(p_d, dtype=np.float64)
-    p_v = np.asarray(p_v, dtype=np.float64)
-    if p_d.shape != (dl,) or p_v.shape != (dl,):
-        raise ValidationError(
-            f"fuse_classify expects two vectors of length {dl}, got {p_d.shape} and {p_v.shape}"
-        )
-    logit = float(params.fuse_w @ np.concatenate([p_d, p_v]) + params.fuse_b[0])
-    return _sigmoid(logit)
-
-
 @dataclass
 class KnowledgeInputs:
     """Fixed (frozen-embedder) knowledge-side inputs shared across videos."""
@@ -204,9 +192,7 @@ def _head_forward(params: ModelParams, h: np.ndarray, mask: np.ndarray,
     count = int(mask.sum())
     hbar = h[mask].sum(axis=0) / count
     protos = know.prototypes
-    a_raw = (protos @ h.T) / math.sqrt(params.config.d_model)
-    a = a_raw * mask[None, :]
-    c = a @ h
+    a, c = attend(protos, h, mask)
     z, f_cache = importance_forward(c, protos, params.importance)
     w = softmax(z)
     ctx = w @ c

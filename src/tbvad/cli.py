@@ -134,8 +134,10 @@ def resolve_config(args) -> dict:
             raise ValidationError(f"--config file does not exist: {path}")
         try:
             user_cfg = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ValidationError(f"--config is not valid JSON: {e}") from e
+        if not isinstance(user_cfg, dict):
+            raise ValidationError(f"--config {path} must hold a JSON object")
         _validate_config(user_cfg, CONFIG_SCHEMA)
         cfg = _deep_merge(cfg, user_cfg)
     if getattr(args, "seed", None) is not None:
@@ -409,7 +411,10 @@ def _load_combos(spec: str) -> list[tuple[str, ...]]:
     path = Path(spec)
     if not path.exists():
         raise ValidationError(f"--combos must be 'table3' or a JSON file path, got {spec!r}")
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ValidationError(f"combos file {path} is not valid JSON: {e}") from e
     if not isinstance(raw, list) or not all(isinstance(c, list) for c in raw):
         raise ValidationError(f"combos file {path} must hold a JSON list of aspect lists")
     return [tuple(validate_aspects(c)) for c in raw]

@@ -2,8 +2,10 @@
 
 The stack maps a batch of B equal-length T x d_model sequences, stacked as
 (B, T, d_model), through L pre-layer-norm encoder layers (multi-head
-self-attention + GELU feed-forward, residual around each), then a masked
-mean pool and affine projection produce the latent description vector.
+self-attention + GELU feed-forward, residual around each).  The pooled
+projection (w_d, b_d) is stored with the encoder, but the classifier head
+applies it, after its masked mean pool, to give the latent description
+vector.
 Forward passes record the intermediates needed for the manual backward
 pass; analytic gradients are verified against central finite differences in
 the test suite, so every derivative here is exact for the implemented
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import TokenEmbeddingSeq
 from .errors import TbvadError, ValidationError
 
 LN_EPS = 1e-5
@@ -287,10 +288,10 @@ def encoder_forward(x: np.ndarray, mask: np.ndarray, params: EncoderParams):
         )
     if x.shape[2] != params.d_model:
         raise ValidationError(f"input dim {x.shape[2]} does not match d_model {params.d_model}")
-    if params.num_layers == 0:
-        return x.copy(), []
     if not mask.any(axis=1).all():
         raise ValidationError("encoder requires at least one unmasked position")
+    if params.num_layers == 0:
+        return x.copy(), []
     z = x * math.sqrt(params.d_model) + sinusoidal_positions(x.shape[1], params.d_model)
     caches = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -321,18 +322,3 @@ def encoder_backward(dh: np.ndarray, mask: np.ndarray, params: EncoderParams, ca
         acc = {name: grads[f"layers.{i}.{name}"] for name in LayerParams.FIELDS}
         dz = _layer_backward(dz, params.layers[i], caches.pop(), params.num_heads, acc)
     return dz * math.sqrt(params.d_model), grads
-
-
-def encode_descriptions(x_d: TokenEmbeddingSeq, params: EncoderParams) -> TokenEmbeddingSeq:
-    """Public forward pass: T x d_model in, T x d_model out, same mask."""
-    h, _ = encoder_forward(x_d.vectors[None], x_d.mask[None], params)
-    return TokenEmbeddingSeq(vectors=h[0], mask=x_d.mask.copy())
-
-
-def project_description(h_d: TokenEmbeddingSeq, params: EncoderParams) -> np.ndarray:
-    """Masked mean pool then affine projection into the latent space."""
-    count = int(h_d.mask.sum())
-    if count == 0:
-        raise ValidationError("cannot project a fully masked sequence")
-    pooled = h_d.vectors[h_d.mask].sum(axis=0) / count
-    return params.w_d @ pooled + params.b_d

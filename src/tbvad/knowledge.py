@@ -1,12 +1,13 @@
-"""Structured slot knowledge: four-aspect summaries per class, their embeddings, and encoding.
+"""Structured slot knowledge: four-aspect summaries per class and their embeddings.
 
 For each class (``n`` normal, ``a`` abnormal) and each active aspect
 (context, action, object, environment) a textual slot summary is produced
 either by a remote LLM endpoint or by a deterministic extractive fallback.
 Slot prototypes are the mean-pooled embeddings of each summary; candidate
-evidence sentences are embedded one row per sentence.  The encoded
-knowledge vector projects the mean embedding of all active slot texts,
-concatenated in canonical order as one sequence, into the latent space.
+evidence sentences are embedded one row per sentence.  The knowledge mean
+embedding averages, over the two classes, the mean-pooled embedding of all
+active slot texts concatenated in canonical order as one sequence.  All of
+these come from one embedder and one ``embed_captions`` call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CaptionCorpus, sentence_split
-from .embedding import EmbedderConfig, embed_tokens, make_embedder, mean_pool, tokenize
+from .embedding import EmbedderConfig, make_embedder, tokenize
 from .errors import TbvadError, ValidationError
 from .remote import TextCache, default_cache_dir, post_json
 
@@ -94,15 +95,6 @@ class AspectPrompt:
 def default_prompts() -> dict[str, AspectPrompt]:
     """Load the shipped per-aspect prompt templates."""
     raw = json.loads(resources.files("tbvad").joinpath("prompts.json").read_text(encoding="utf-8"))
-    return {aspect: AspectPrompt(aspect=aspect, template=raw[aspect]) for aspect in ASPECTS}
-
-
-def load_prompts(path: str | Path) -> dict[str, AspectPrompt]:
-    """Load prompt templates from a user config file, one per aspect."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    missing = [a for a in ASPECTS if a not in raw]
-    if missing:
-        raise ValidationError(f"prompt config {path} is missing aspects: {missing}")
     return {aspect: AspectPrompt(aspect=aspect, template=raw[aspect]) for aspect in ASPECTS}
 
 
@@ -276,14 +268,17 @@ class KnowledgeBase:
     ``prototypes[v]`` is an S x d matrix, one row per active aspect in
     canonical order, where row s is the mean-pooled embedding of that slot's
     summary text.  ``sentence_embeddings[(v, aspect)]`` holds one row per
-    summary sentence, for evidence retrieval.
+    summary sentence, for evidence retrieval.  ``mean_embedding`` is the
+    class average of the joined-text embeddings (see ``joined_text``).  All
+    three are derived from the slots on construction.
     """
 
     aspects: tuple[str, ...]
     slots: dict[tuple[str, str], SlotSummary]
     embedder: EmbedderConfig
-    prototypes: dict[str, np.ndarray] = field(default_factory=dict)
-    sentence_embeddings: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
+    prototypes: dict[str, np.ndarray] = field(init=False, default_factory=dict)
+    sentence_embeddings: dict[tuple[str, str], np.ndarray] = field(init=False, default_factory=dict)
+    mean_embedding: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.aspects = validate_aspects(self.aspects)
@@ -294,22 +289,25 @@ class KnowledgeBase:
         extra = set(self.slots) - {(v, a) for v in CLASSES for a in self.aspects}
         if extra:
             raise ValidationError(f"knowledge base has slots outside the active aspect set: {sorted(extra)}")
-        if not self.prototypes:
-            self._embed_all()
+        self._embed_all()
 
     def _embed_all(self):
-        emb = make_embedder(self.embedder)
+        """Embed the slot texts, their sentences and the joined texts in one call."""
+        keys = [(v, aspect) for v in CLASSES for aspect in self.aspects]
+        sentences = [self.slots[key].sentences for key in keys]
+        texts = [self.slots[key].text for key in keys]
+        texts += [s for sents in sentences for s in sents]
+        texts += [self.joined_text(v) for v in CLASSES]
+        pooled = iter(make_embedder(self.embedder).embed_captions(texts))
         for v in CLASSES:
-            rows = [mean_pool(emb.embed_tokens(self.slots[(v, aspect)].text)) for aspect in self.aspects]
-            self.prototypes[v] = np.stack(rows)
-            for aspect in self.aspects:
-                sents = self.slots[(v, aspect)].sentences
-                if sents:
-                    self.sentence_embeddings[(v, aspect)] = np.stack(
-                        [mean_pool(emb.embed_tokens(s)) for s in sents]
-                    )
-                else:
-                    self.sentence_embeddings[(v, aspect)] = np.zeros((0, self.embedder.d))
+            self.prototypes[v] = np.stack([next(pooled) for _ in self.aspects])
+        for key, sents in zip(keys, sentences):
+            if sents:
+                self.sentence_embeddings[key] = np.stack([next(pooled) for _ in sents])
+            else:
+                self.sentence_embeddings[key] = np.zeros((0, self.embedder.d))
+        joined = [next(pooled) for _ in CLASSES]
+        self.mean_embedding = 0.5 * (joined[0] + joined[1])
 
     def joined_text(self, class_v: str) -> str:
         """Active slot texts concatenated in canonical order, newline-joined."""
@@ -413,29 +411,6 @@ def load_knowledge(path: str | Path, endpoint: str | None = None,
     return KnowledgeBase(aspects=aspects, slots=slots, embedder=cfg)
 
 
-def encode_knowledge(kb: KnowledgeBase, class_v: str,
-                     w_v: np.ndarray, b_v: np.ndarray) -> np.ndarray:
-    """Project the mean embedding of one class's joined slot texts into latent space.
-
-    The active slot texts are concatenated in canonical order and embedded
-    as a single sequence under the knowledge token budget, then mean-pooled
-    and affinely projected.
-    """
-    w_v = np.asarray(w_v, dtype=np.float64)
-    b_v = np.asarray(b_v, dtype=np.float64)
-    if not (np.all(np.isfinite(w_v)) and np.all(np.isfinite(b_v))):
-        raise ValidationError("projection parameters must be finite")
-    text = kb.joined_text(class_v)
-    if not text.strip():
-        raise ValidationError(f"joined knowledge text for class {class_v!r} is empty")
-    pooled = mean_pool(embed_tokens(text, kb.embedder))
-    if w_v.shape[1] != pooled.shape[0]:
-        raise ValidationError(
-            f"knowledge projection expects input dim {w_v.shape[1]}, got {pooled.shape[0]}"
-        )
-    return w_v @ pooled + b_v
-
-
 def knowledge_mean_embedding(kb: KnowledgeBase) -> np.ndarray:
     """Class-agnostic mean of the two classes' joined-text mean embeddings.
 
@@ -443,9 +418,7 @@ def knowledge_mean_embedding(kb: KnowledgeBase) -> np.ndarray:
     so its knowledge input averages both classes; class-conditioned
     prototypes are reserved for the reasoning branch.
     """
-    emb = make_embedder(kb.embedder)
-    pools = [mean_pool(emb.embed_tokens(kb.joined_text(v))) for v in CLASSES]
-    return 0.5 * (pools[0] + pools[1])
+    return kb.mean_embedding
 
 
 def class_agnostic_prototypes(kb: KnowledgeBase) -> np.ndarray:

@@ -2,14 +2,15 @@
 
 Slot prototypes are cross-attended against the encoded description tokens
 to form slot-specific context vectors (scaled scores, no softmax over the
-attention map; a row-softmax variant is available behind a flag for
-ablation).  A small shared feed-forward network scores each slot from its
-context vector and prototype; softmax over the scores yields the slot
-importance weights.  Evidence retrieval picks, for the top-weighted slots,
-the knowledge sentence most cosine-similar to the mean description
-embedding.  Counterfactual margins compare slot importances under the
-predicted class's prototypes against the opposite class's.  Everything is
-assembled into a structured, JSON-serializable explanation record.
+attention map); the classifier head computes its attention through the
+same ``attend`` expression.  A small shared feed-forward network scores
+each slot from its context vector and prototype; softmax over the scores
+yields the slot importance weights.  Evidence retrieval picks, for the
+top-weighted slots, the knowledge sentence most cosine-similar to the mean
+description embedding.  Counterfactual margins compare slot importances
+under the predicted class's prototypes against the opposite class's.
+Everything is assembled into a structured, JSON-serializable explanation
+record.
 """
 
 from __future__ import annotations
@@ -83,27 +84,27 @@ class Evidence:
             raise ValidationError("evidence rank must be positive")
 
 
-def slot_attention(k_v: np.ndarray, h_d: TokenEmbeddingSeq,
-                   row_softmax: bool = False) -> AttentionResult:
-    """Cross-attention of slot prototypes against description tokens.
+def attend(k_v: np.ndarray, h: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A = K_v H^T / sqrt(d) with masked token columns zeroed, and C = A H.
 
-    A = K_v H_d^T / sqrt(d) with masked token columns forced to zero, then
-    C = A H_d.  No normalization of A by default; ``row_softmax`` switches
-    an ablation variant that softmaxes each slot row over unmasked tokens.
+    No checks: the training head calls this once per segment.
+    """
+    a = (k_v @ h.T) / math.sqrt(h.shape[1])
+    a = a * mask[None, :]
+    return a, a @ h
+
+
+def slot_attention(k_v: np.ndarray, h_d: TokenEmbeddingSeq) -> AttentionResult:
+    """Cross-attention of slot prototypes against description tokens, checked.
+
+    ``attend`` with the prototype dim validated; A is not normalized.
     """
     k_v = np.asarray(k_v, dtype=np.float64)
     if k_v.ndim != 2 or k_v.shape[1] != h_d.d:
         raise ValidationError(
             f"prototype matrix {k_v.shape} does not match token dim {h_d.d}"
         )
-    a = (k_v @ h_d.vectors.T) / math.sqrt(h_d.d)
-    if row_softmax:
-        masked = np.where(h_d.mask[None, :], a, -np.inf)
-        shifted = masked - masked.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        a = exp / exp.sum(axis=1, keepdims=True)
-    a = a * h_d.mask[None, :]
-    c = a @ h_d.vectors
+    a, c = attend(k_v, h_d.vectors, h_d.mask)
     return AttentionResult(a=a, c=c)
 
 
@@ -223,8 +224,7 @@ def retrieve_evidence(h_bar: np.ndarray, kb: KnowledgeBase, class_v: str,
 
 
 def counterfactual_margins(h_d: TokenEmbeddingSeq, kb: KnowledgeBase,
-                           f_params: ImportanceParams, predicted_v: str,
-                           row_softmax: bool = False) -> dict[str, float]:
+                           f_params: ImportanceParams, predicted_v: str) -> dict[str, float]:
     """Per-aspect importance shift when the class-conditioned knowledge is swapped.
 
     Delta_s = w_s (under the predicted class's prototypes) minus w_s under
@@ -235,7 +235,7 @@ def counterfactual_margins(h_d: TokenEmbeddingSeq, kb: KnowledgeBase,
     other = "a" if predicted_v == "n" else "n"
     weights = {}
     for v in (predicted_v, other):
-        att = slot_attention(kb.prototypes[v], h_d, row_softmax=row_softmax)
+        att = slot_attention(kb.prototypes[v], h_d)
         weights[v] = slot_importance(att.c, kb.prototypes[v], f_params).w
     delta = weights[predicted_v] - weights[other]
     return {aspect: float(delta[i]) for i, aspect in enumerate(kb.aspects)}

@@ -16,9 +16,10 @@ from tbvad.classifier import (
     ModelConfig,
     TrainConfig,
     VideoFeatures,
+    _forward,
+    _head_forward,
     _sigmoid,
     batch_loss_and_grads,
-    fuse_classify,
     init_model_params,
     knowledge_inputs,
     load_model,
@@ -32,10 +33,11 @@ from tbvad.classifier import (
     video_features,
 )
 from tbvad.corpus import CaptionCorpus, sample_evenly
-from tbvad.embedding import EmbedderConfig, tokenize
+from tbvad.embedding import EmbedderConfig, TokenEmbeddingSeq, tokenize
 from tbvad.errors import ModelFormatError, TbvadError, ValidationError
 from tbvad.evaluation import score_corpus
-from tbvad.knowledge import build_knowledge, default_prompts
+from tbvad.knowledge import build_knowledge, class_agnostic_prototypes, default_prompts
+from tbvad.reasoning import slot_attention, slot_importance
 
 from conftest import make_video
 from stubs import StubService
@@ -84,39 +86,74 @@ def quick_cfg(**overrides):
 
 
 class TestFuseClassify:
+    """The head's fusion: sigmoid(fuse_w . [P_d; P_v] + b), description first."""
+
+    ASPECTS4 = ("context", "action", "object", "environment")
+
     def params_with(self, d_latent, fuse_w, fuse_b):
-        cfg = ModelConfig(d_model=4, num_layers=0, num_heads=1, d_ff=16, d_latent=d_latent,
-                          knowledge_dim=4, k_frames=4, seed=0,
-                          active_aspects=("context", "action", "object", "environment"))
+        # d_model = d_latent, identity w_d and a zero gate make P_d the mean of
+        # the encoded rows; w_v = 0 makes P_v equal to b_v.
+        cfg = ModelConfig(d_model=d_latent, num_layers=0, num_heads=1, d_ff=4 * d_latent,
+                          d_latent=d_latent, knowledge_dim=d_latent, k_frames=4, seed=0,
+                          active_aspects=self.ASPECTS4)
         params = init_model_params(cfg)
+        params.encoder.w_d = np.eye(d_latent)
+        params.encoder.b_d = np.zeros(d_latent)
+        params.w_v = np.zeros((d_latent, d_latent))
         params.fuse_w = np.asarray(fuse_w, dtype=np.float64)
         params.fuse_b = np.asarray(fuse_b, dtype=np.float64)
         return params
 
+    def fuse(self, params, p_d, p_v):
+        """The head's logit for one encoded row p_d, with b_v set to p_v."""
+        p_d, p_v = np.asarray(p_d, dtype=np.float64), np.asarray(p_v, dtype=np.float64)
+        params.b_v = p_v
+        d = params.config.d_model
+        know = KnowledgeInputs(mean_embedding=np.ones(d), prototypes=np.ones((4, d)))
+        logit, cache = _head_forward(params, p_d[None, :], np.ones(1, dtype=bool), know)
+        assert np.array_equal(cache[9], p_d) and np.array_equal(cache[10], p_v)
+        return logit
+
     def test_zero_weights_give_half(self):
         params = self.params_with(3, np.zeros(6), np.zeros(1))
-        assert fuse_classify(np.ones(3), -np.ones(3), params) == pytest.approx(0.5)
+        assert _sigmoid(self.fuse(params, np.ones(3), -np.ones(3))) == 0.5
 
     def test_sigmoid_of_ln3_is_three_quarters(self):
         fuse_w = np.zeros(6)
         fuse_w[0] = 1.0
         params = self.params_with(3, fuse_w, np.zeros(1))
-        p_d = np.array([math.log(3.0), 0.0, 0.0])
-        assert fuse_classify(p_d, np.zeros(3), params) == pytest.approx(0.75)
+        logit = self.fuse(params, [math.log(3.0), 0.0, 0.0], np.zeros(3))
+        assert logit == math.log(3.0)
+        assert _sigmoid(logit) == pytest.approx(0.75, abs=1e-12)
 
     def test_matches_dot_product_oracle(self):
+        # Random projections on both sides; P_d, P_v and the logit by loops.
         rng = np.random.default_rng(5)
-        params = self.params_with(4, rng.normal(size=8), rng.normal(size=1))
-        p_d, p_v = rng.normal(size=4), rng.normal(size=4)
+        cfg = ModelConfig(d_model=6, num_layers=0, num_heads=1, d_ff=12, d_latent=4,
+                          knowledge_dim=5, k_frames=4, seed=0, active_aspects=self.ASPECTS4)
+        params = init_model_params(cfg)
+        params.fuse_b = rng.normal(size=1)
+        h = rng.normal(size=(3, 6))
+        know = KnowledgeInputs(mean_embedding=rng.normal(size=5), prototypes=rng.normal(size=(4, 6)))
+        pooled = [sum(h[t, j] for t in range(3)) / 3 for j in range(6)]
+        p_d = [sum(params.encoder.w_d[i, j] * pooled[j] for j in range(6)) + params.encoder.b_d[i]
+               for i in range(4)]
+        p_v = [sum(params.w_v[i, j] * know.mean_embedding[j] for j in range(5)) + params.b_v[i]
+               for i in range(4)]
         logit = sum(params.fuse_w[i] * p_d[i] for i in range(4))
         logit += sum(params.fuse_w[4 + i] * p_v[i] for i in range(4))
         logit += params.fuse_b[0]
-        assert abs(fuse_classify(p_d, p_v, params) - 1.0 / (1.0 + math.exp(-logit))) <= 1e-12
+        got, _ = _head_forward(params, h, np.ones(3, dtype=bool), know)
+        assert abs(got - logit) <= 1e-12
+        assert abs(_sigmoid(got) - 1.0 / (1.0 + math.exp(-logit))) <= 1e-12
 
     def test_dimension_mismatch_rejected(self):
         params = self.params_with(3, np.zeros(6), np.zeros(1))
-        with pytest.raises(ValidationError):
-            fuse_classify(np.ones(2), np.ones(3), params)
+        know = KnowledgeInputs(mean_embedding=np.zeros(3), prototypes=np.zeros((4, 3)))
+        feats = VideoFeatures(video_id="v", target=1.0,
+                              segments=[(np.ones((2, 2)), np.ones(2, dtype=bool))])
+        with pytest.raises(ValidationError, match="d_model"):
+            batch_loss_and_grads(params, [feats], know, l2_weight=0.0)
 
     def test_monotone_in_logit(self, tiny_kb):
         model = train(tiny_corpus(), tiny_kb, quick_cfg(epochs=1), EMB)
@@ -408,6 +445,27 @@ class TestBatchedStepOracle:
         params = self.params_for(tiny_kb, num_layers=0)
         batch = [video_features(v, EMB, 4, None) for v in self.varied_videos([4, 2, 4, 3])]
         self.assert_matches_reference(params, batch, knowledge_inputs(tiny_kb))
+
+
+class TestHeadMatchesExplainPath:
+    """The head's slot attention and importance are the ones explain computes."""
+
+    def test_importance_weights_equal_slot_importance(self, tiny_kb):
+        params = TestBatchedStepOracle.params_for(tiny_kb)
+        batch = [video_features(v, EMB, 4, None)
+                 for v in TestBatchedStepOracle.varied_videos([4, 2, 4, 3])]
+        x, mask = batch[2].segments[0]
+        mask[1] = False
+        x[1] = 0.0
+        fwd = _forward(params, batch, knowledge_inputs(tiny_kb))
+        protos = class_agnostic_prototypes(tiny_kb)
+        for segment in fwd.segments:
+            h, mask, _, a, c, w = segment.cache[:6]
+            att = slot_attention(protos, TokenEmbeddingSeq(vectors=h, mask=mask))
+            imp = slot_importance(att.c, protos, params.importance)
+            assert np.array_equal(att.a, a) and np.array_equal(att.c, c)
+            assert np.array_equal(imp.w, w)
+        assert not fwd.segments[2].cache[1].all()
 
 
 class TestBatchedScoringOracle:

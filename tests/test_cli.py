@@ -119,6 +119,30 @@ class TestValidation:
         assert code == 1
         assert "train.warmup" in err
 
+    @pytest.mark.parametrize("text, message", [('[{"seed": 1}]', "JSON object"),
+                                               ('"seed"', "JSON object"), ("3", "JSON object"),
+                                               ("\xff", "not valid JSON")])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text.encode("latin-1"))
+        code, _, err = run_cli(capsys, "caption-stats", "--config", str(bad),
+                               "--captions", "whatever.jsonl")
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("text", ['[["object"]', "object, action", "\xff"])
+    def test_combos_file_that_is_not_json_rejected(self, workspace, tmp_path, capsys, text):
+        combos = tmp_path / "combos.json"
+        combos.write_bytes(text.encode("latin-1"))
+        code, _, err = run_cli(capsys, "ablate", "--config", workspace["cfg"],
+                               "--captions", str(workspace["data"] / "train.jsonl"),
+                               "--test-captions", str(workspace["data"] / "test.jsonl"),
+                               "--combos", str(combos), "--out", str(tmp_path / "ab.csv"))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "not valid JSON" in err
+
     def test_missing_captions_file_is_validation_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "caption-stats", "--captions",
                                str(tmp_path / "nope.jsonl"))

@@ -5,26 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from tbvad.embedding import TokenEmbeddingSeq
+from tbvad.classifier import KnowledgeInputs, ModelConfig, _head_forward, init_model_params
 from tbvad.encoder import (
     LN_EPS,
-    encode_descriptions,
     encoder_backward,
     encoder_forward,
     gelu,
     init_encoder_params,
     layer_norm,
-    project_description,
     sinusoidal_positions,
 )
 from tbvad.errors import TbvadError, ValidationError
-
-
-def seq(vectors, mask=None):
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if mask is None:
-        mask = np.ones(vectors.shape[0], dtype=bool)
-    return TokenEmbeddingSeq(vectors=vectors, mask=np.asarray(mask, dtype=bool))
 
 
 def naive_layer_forward(x, layer, mask, nh):
@@ -74,19 +65,21 @@ def naive_layer_forward(x, layer, mask, nh):
 
 
 class TestEncodeDescriptions:
+    """encoder_forward over caption-embedding sequences."""
+
     def test_zero_layers_is_identity(self):
         params = init_encoder_params(num_layers=0, num_heads=2, d_model=8, d_latent=4, seed=0)
         rng = np.random.default_rng(0)
-        x = seq(rng.normal(size=(5, 8)))
-        h = encode_descriptions(x, params)
-        assert np.array_equal(h.vectors, x.vectors)
+        x = rng.normal(size=(1, 5, 8))
+        h, _ = encoder_forward(x, np.ones((1, 5), dtype=bool), params)
+        assert np.array_equal(h, x)
 
     def test_single_token_finite(self):
         params = init_encoder_params(num_layers=2, num_heads=2, d_model=8, d_latent=4, seed=1)
-        x = seq(np.random.default_rng(1).normal(size=(1, 8)))
-        h = encode_descriptions(x, params)
-        assert h.vectors.shape == (1, 8)
-        assert np.all(np.isfinite(h.vectors))
+        x = np.random.default_rng(1).normal(size=(1, 1, 8))
+        h, _ = encoder_forward(x, np.ones((1, 1), dtype=bool), params)
+        assert h.shape == (1, 1, 8)
+        assert np.all(np.isfinite(h))
 
     def test_matches_naive_per_head_oracle(self):
         params = init_encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=4, seed=2)
@@ -113,10 +106,10 @@ class TestEncodeDescriptions:
 
     def test_shape_preserved_for_any_depth(self):
         rng = np.random.default_rng(4)
-        x = seq(rng.normal(size=(6, 16)))
+        x = rng.normal(size=(1, 6, 16))
         for depth in (0, 1, 3):
             params = init_encoder_params(num_layers=depth, num_heads=4, d_model=16, d_latent=8, seed=depth)
-            assert encode_descriptions(x, params).vectors.shape == (6, 16)
+            assert encoder_forward(x, np.ones((1, 6), dtype=bool), params)[0].shape == (1, 6, 16)
 
     def test_position_sensitive(self):
         params = init_encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=4, seed=5)
@@ -129,7 +122,7 @@ class TestEncodeDescriptions:
     def test_dimension_mismatch_rejected(self):
         params = init_encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=4, seed=6)
         with pytest.raises(ValidationError, match="d_model"):
-            encode_descriptions(seq(np.zeros((3, 6))), params)
+            encoder_forward(np.zeros((1, 3, 6)), np.ones((1, 3), dtype=bool), params)
 
     def test_fully_masked_video_in_batch_rejected(self):
         params = init_encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=4, seed=6)
@@ -142,9 +135,9 @@ class TestEncodeDescriptions:
     def test_nan_names_layer(self):
         params = init_encoder_params(num_layers=2, num_heads=2, d_model=8, d_latent=4, seed=7)
         params.layers[1].w2[:] = np.inf
-        x = seq(np.random.default_rng(7).normal(size=(3, 8)))
+        x = np.random.default_rng(7).normal(size=(1, 3, 8))
         with pytest.raises(TbvadError, match="layer 2"):
-            encode_descriptions(x, params)
+            encoder_forward(x, np.ones((1, 3), dtype=bool), params)
 
     def test_layer_norm_pre_gain_rows_centered(self):
         rng = np.random.default_rng(8)
@@ -153,45 +146,55 @@ class TestEncodeDescriptions:
         assert np.max(np.abs(xhat.mean(axis=1))) <= 1e-6
 
 
+def head_projection(vectors, mask, w_d, b_d):
+    """P_d of the classifier head on one encoded segment, gate at zero."""
+    d_latent, d = w_d.shape
+    cfg = ModelConfig(d_model=d, num_layers=0, num_heads=1, d_ff=d, d_latent=d_latent,
+                      knowledge_dim=d, k_frames=4, seed=0, active_aspects=("object",))
+    params = init_model_params(cfg)
+    params.encoder.w_d, params.encoder.b_d = w_d, b_d
+    know = KnowledgeInputs(mean_embedding=np.zeros(d), prototypes=np.ones((1, d)))
+    _, cache = _head_forward(params, np.asarray(vectors, dtype=np.float64),
+                             np.asarray(mask, dtype=bool), know)
+    return cache[9]
+
+
 class TestProjectDescription:
+    """The head's masked mean pool and affine projection (w_d, b_d)."""
+
     def test_identity_single_row(self):
-        params = init_encoder_params(num_layers=0, num_heads=1, d_model=4, d_latent=4, seed=0)
-        params.w_d = np.eye(4)
-        params.b_d = np.zeros(4)
-        h = seq(np.array([[1.0, -2.0, 3.0, 0.5]]))
-        assert np.array_equal(project_description(h, params), h.vectors[0])
+        h = np.array([[1.0, -2.0, 3.0, 0.5]])
+        assert np.array_equal(head_projection(h, [True], np.eye(4), np.zeros(4)), h[0])
 
     def test_hand_mean_plus_bias(self):
-        params = init_encoder_params(num_layers=0, num_heads=1, d_model=2, d_latent=2, seed=0)
-        params.w_d = np.eye(2)
-        params.b_d = np.array([1.0, 1.0])
-        h = seq(np.array([[2.0, 0.0], [0.0, 2.0]]))
-        assert np.array_equal(project_description(h, params), np.array([2.0, 2.0]))
+        h = np.array([[2.0, 0.0], [0.0, 2.0]])
+        got = head_projection(h, [True, True], np.eye(2), np.array([1.0, 1.0]))
+        assert np.array_equal(got, np.array([2.0, 2.0]))
 
     def test_matches_matvec_oracle(self):
         rng = np.random.default_rng(9)
         params = init_encoder_params(num_layers=0, num_heads=1, d_model=6, d_latent=3, seed=9)
-        h = seq(rng.normal(size=(4, 6)))
-        pooled = h.vectors.mean(axis=0)
+        h = rng.normal(size=(4, 6))
+        pooled = h.mean(axis=0)
         oracle = np.zeros(3)
         for i in range(3):
             for j in range(6):
                 oracle[i] += params.w_d[i, j] * pooled[j]
             oracle[i] += params.b_d[i]
-        assert np.max(np.abs(project_description(h, params) - oracle)) <= 1e-10
+        got = head_projection(h, [True] * 4, params.w_d, params.b_d)
+        assert np.max(np.abs(got - oracle)) <= 1e-10
 
     def test_all_masked_rejected(self):
+        # The encoder checks the mask before its identity shortcut, so no
+        # fully masked segment reaches the pool.
         params = init_encoder_params(num_layers=0, num_heads=1, d_model=2, d_latent=2, seed=0)
-        h = seq(np.zeros((2, 2)), mask=[False, False])
-        with pytest.raises(ValidationError):
-            project_description(h, params)
+        with pytest.raises(ValidationError, match="unmasked"):
+            encoder_forward(np.zeros((1, 2, 2)), np.zeros((1, 2), dtype=bool), params)
 
     def test_masked_rows_excluded_from_pool(self):
-        params = init_encoder_params(num_layers=0, num_heads=1, d_model=2, d_latent=2, seed=0)
-        params.w_d = np.eye(2)
-        params.b_d = np.zeros(2)
-        h = seq(np.array([[4.0, 4.0], [0.0, 0.0]]), mask=[True, False])
-        assert np.array_equal(project_description(h, params), np.array([4.0, 4.0]))
+        h = np.array([[4.0, 4.0], [0.0, 0.0]])
+        got = head_projection(h, [True, False], np.eye(2), np.zeros(2))
+        assert np.array_equal(got, np.array([4.0, 4.0]))
 
 
 def relative_gradient_errors(analytic: dict, numeric: dict):

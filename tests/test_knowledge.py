@@ -6,23 +6,22 @@ import numpy as np
 import pytest
 
 from tbvad.corpus import CaptionCorpus, sentence_split
-from tbvad.embedding import EmbedderConfig, embed_tokens, mean_pool
+from tbvad.embedding import EmbedderConfig, embed_tokens, mean_pool, tokenize
 from tbvad.errors import TbvadError, ValidationError
 from tbvad.knowledge import (
     ASPECTS,
     AspectPrompt,
     ExtractiveSummarizer,
-    KnowledgeBase,
     RemoteGenerator,
     build_knowledge,
     class_agnostic_prototypes,
     default_prompts,
-    encode_knowledge,
     knowledge_mean_embedding,
     load_knowledge,
     save_knowledge,
     summarize_aspect,
 )
+from tbvad.remote import VectorCache
 
 from conftest import make_video
 from stubs import StubService
@@ -164,6 +163,19 @@ class TestBuildKnowledge:
         with pytest.raises(ValidationError):
             build_knowledge(CaptionCorpus(videos=()), corpus_of(["x."]), default_prompts(), EMB)
 
+    def test_joined_text_order_is_canonical(self):
+        kb = small_kb()
+        joined = kb.joined_text("n")
+        pieces = joined.split("\n")
+        assert pieces == [kb.slots[("n", a)].text for a in ASPECTS]
+
+    def test_mean_embedding_is_class_average(self):
+        kb = small_kb()
+        pools = [mean_pool(embed_tokens(kb.joined_text(v), EMB)) for v in ("n", "a")]
+        assert np.array_equal(knowledge_mean_embedding(kb), 0.5 * (pools[0] + pools[1]))
+        assert np.array_equal(class_agnostic_prototypes(kb),
+                              0.5 * (kb.prototypes["n"] + kb.prototypes["a"]))
+
 
 class TestKnowledgeIO:
     def test_round_trip_equal(self, tmp_path):
@@ -216,60 +228,54 @@ class TestKnowledgeIO:
             load_knowledge(path)
 
 
-class TestEncodeKnowledge:
-    def test_identity_projection_single_token(self):
-        from tbvad.knowledge import SlotSummary
-        kb_single = KnowledgeBase(
-            aspects=("object",),
-            slots={("n", "object"): SlotSummary("n", "object", "knife"),
-                   ("a", "object"): SlotSummary("a", "object", "knife")},
-            embedder=EMB,
-        )
-        token_vec = mean_pool(embed_tokens("knife", EMB))
-        out = encode_knowledge(kb_single, "n", np.eye(EMB.d), np.zeros(EMB.d))
-        assert np.allclose(out, token_vec)
+class NumberedSummarizer:
+    """Each call returns three sentences of 12 words that no other call uses."""
 
-    def test_zero_weight_bias_passthrough(self):
-        kb = small_kb()
-        d_latent = 6
-        c = 3.5
-        out = encode_knowledge(kb, "a", np.zeros((d_latent, EMB.d)), c * np.ones(d_latent))
-        assert np.allclose(out, c * np.ones(d_latent))
+    def __init__(self):
+        self.calls = 0
 
-    def test_matches_matvec_oracle(self):
-        kb = small_kb()
-        rng = np.random.default_rng(9)
-        w = rng.normal(size=(5, EMB.d))
-        b = rng.normal(size=5)
-        pooled = mean_pool(embed_tokens(kb.joined_text("n"), EMB))
-        oracle = np.zeros(5)
-        for i in range(5):
-            for j in range(EMB.d):
-                oracle[i] += w[i, j] * pooled[j]
-            oracle[i] += b[i]
-        got = encode_knowledge(kb, "n", w, b)
-        assert np.max(np.abs(got - oracle)) <= 1e-10
+    def summarize(self, prompt, captions):
+        self.calls += 1
+        words = [f"{prompt.aspect}{self.calls}w{i}" for i in range(12)]
+        return " ".join(" ".join(words[i:i + 4]) + "." for i in range(0, 12, 4))
 
-    def test_linear_in_weights(self):
-        kb = small_kb()
-        rng = np.random.default_rng(10)
-        w = rng.normal(size=(4, EMB.d))
-        one = encode_knowledge(kb, "n", w, np.zeros(4))
-        three = encode_knowledge(kb, "n", 3.0 * w, np.zeros(4))
-        assert np.allclose(three, 3.0 * one)
 
-    def test_joined_text_order_is_canonical(self):
-        kb = small_kb()
-        joined = kb.joined_text("n")
-        pieces = joined.split("\n")
-        assert pieces == [kb.slots[("n", a)].text for a in ASPECTS]
+class TestRemoteKnowledgeEmbedding:
+    def test_cold_build_batches_and_warm_load_reads_each_token_once(self, tmp_path, monkeypatch):
+        d_n = corpus_of(["People walk slowly through the mall entrance."], "normal", "n0")
+        d_a = corpus_of(["Two men are fighting with a knife near the alley."], "abnormal", "a0")
+        gets = []
+        original_get = VectorCache.get
 
-    def test_mean_embedding_is_class_average(self):
-        kb = small_kb()
-        pools = [mean_pool(embed_tokens(kb.joined_text(v), EMB)) for v in ("n", "a")]
-        assert np.allclose(knowledge_mean_embedding(kb), 0.5 * (pools[0] + pools[1]))
-        assert np.allclose(class_agnostic_prototypes(kb),
-                           0.5 * (kb.prototypes["n"] + kb.prototypes["a"]))
+        def counting_get(cache, key):
+            gets.append(key)
+            return original_get(cache, key)
+
+        monkeypatch.setattr(VectorCache, "get", counting_get)
+        with StubService() as svc:
+            cfg = EmbedderConfig(backend="remote", d=16, max_tokens=4096, endpoint=svc.endpoint,
+                                 cache_dir=str(tmp_path / "cache"), seed=0)
+            kb = build_knowledge(d_n, d_a, default_prompts(), cfg, backend=NumberedSummarizer())
+            mean = knowledge_mean_embedding(kb)
+            texts = [s.text for s in kb.slots.values()]
+            texts += [sent for s in kb.slots.values() for sent in s.sentences]
+            texts += [kb.joined_text(v) for v in ("n", "a")]
+            distinct = {t for text in texts for t in tokenize(text)[:cfg.max_tokens]}
+            assert len(distinct) > 64
+            assert svc.request_count == -(-len(distinct) // 64)
+            assert sum(len(r["body"]["texts"]) for r in svc.requests) == len(distinct)
+
+            path = tmp_path / "kb.json"
+            save_knowledge(kb, path)
+            gets.clear()
+            loaded = load_knowledge(path, endpoint=svc.endpoint, cache_dir=str(tmp_path / "cache"))
+            assert np.array_equal(knowledge_mean_embedding(loaded), mean)
+            assert svc.request_count == -(-len(distinct) // 64)
+        assert len(gets) == len(set(gets)) == len(distinct)
+        for v in ("n", "a"):
+            assert np.array_equal(loaded.prototypes[v], kb.prototypes[v])
+        for key, rows in kb.sentence_embeddings.items():
+            assert np.array_equal(loaded.sentence_embeddings[key], rows)
 
 
 class TestRemoteGenerator:

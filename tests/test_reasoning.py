@@ -111,15 +111,6 @@ class TestSlotAttention:
         with pytest.raises(ValidationError):
             slot_attention(np.zeros((2, 3)), seq(np.zeros((2, 4)), mask=[True, True]))
 
-    def test_row_softmax_variant_normalizes(self):
-        rng = np.random.default_rng(4)
-        vecs = rng.normal(size=(5, 4))
-        vecs[3] = 0.0
-        h = seq(vecs, mask=[True, True, True, False, True])
-        res = slot_attention(rng.normal(size=(3, 4)), h, row_softmax=True)
-        assert np.allclose(res.a.sum(axis=1), 1.0)
-        assert np.all(res.a[:, 3] == 0.0)
-
 
 class TestSlotImportance:
     def test_zero_network_gives_uniform(self):
