@@ -215,16 +215,50 @@ def _file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _lock_holder_is_gone(lock: Path) -> bool:
+    """True if the lock file holds the PID of a process that no longer exists.
+
+    Anything else (content that is not a PID, a live process, or one this
+    user may not signal) counts as held.  Only POSIX can probe a PID with
+    signal 0; elsewhere a lock is always held.
+    """
+    if os.name != "posix":
+        return False
+    try:
+        pid = int(lock.read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (PermissionError, OverflowError):
+        pass
+    return False
+
+
 @contextmanager
 def _output_lock(out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".tbvad.lock"
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+    locked = TbvadError(
+        f"output directory {out_dir} is locked by another run (remove {lock} if stale)"
+    )
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock, flags)
     except FileExistsError:
-        raise TbvadError(
-            f"output directory {out_dir} is locked by another run (remove {lock} if stale)"
-        ) from None
+        if not _lock_holder_is_gone(lock):
+            raise locked from None
+        # The run that wrote the lock died without removing it.  Two runs
+        # taking over the same stale lock at the same instant can both succeed.
+        lock.unlink(missing_ok=True)
+        try:
+            fd = os.open(lock, flags)
+        except FileExistsError:
+            raise locked from None
     try:
         os.write(fd, str(os.getpid()).encode("ascii"))
         yield

@@ -23,6 +23,7 @@ from .errors import ValidationError
 LABELS = ("normal", "abnormal")
 
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
+_WHITESPACE_RE = re.compile(r"\s+")
 
 
 @dataclass(frozen=True)
@@ -91,12 +92,23 @@ class CaptionCorpus:
         return [c.text for v in self.videos for c in v.captions]
 
 
+def _utf8_error(path: Path) -> str:
+    """Name the line of the first byte in ``path`` that is not UTF-8."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = data.count(b"\n", 0, e.start) + 1
+        return f"{path}:{lineno}: not valid UTF-8 ({e.reason})"
+    return f"{path}: not valid UTF-8"
+
+
 def load_captions(path: str | Path, source_tag: str | None = None) -> CaptionCorpus:
     """Load a JSONL caption file into a validated corpus.
 
-    Raises ValidationError naming the offending line for malformed JSON,
-    missing/bad fields, duplicate (video_id, frame_index) pairs, label
-    disagreement within a video, or an empty file.
+    Raises ValidationError naming the offending line for bytes that are not
+    UTF-8, malformed JSON, missing/bad fields, duplicate (video_id,
+    frame_index) pairs, label disagreement within a video, or an empty file.
     """
     path = Path(path)
     if not path.exists():
@@ -106,37 +118,40 @@ def load_captions(path: str | Path, source_tag: str | None = None) -> CaptionCor
     labels: dict[str, str] = {}
     seen: set[tuple[str, int]] = set()
     n_lines = 0
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            n_lines += 1
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValidationError(f"{path}:{lineno}: malformed JSON ({e.msg})") from e
-            if not isinstance(rec, dict):
-                raise ValidationError(f"{path}:{lineno}: record is not an object")
-            for key, typ in (("video_id", str), ("frame_index", int), ("label", str), ("text", str)):
-                if key not in rec:
-                    raise ValidationError(f"{path}:{lineno}: missing field {key!r}")
-                if not isinstance(rec[key], typ) or isinstance(rec[key], bool):
-                    raise ValidationError(f"{path}:{lineno}: field {key!r} must be {typ.__name__}")
-            vid, fidx, label, text = rec["video_id"], rec["frame_index"], rec["label"], rec["text"]
-            if label not in LABELS:
-                raise ValidationError(f"{path}:{lineno}: label must be one of {LABELS}, got {label!r}")
-            if (vid, fidx) in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate (video_id, frame_index) = ({vid!r}, {fidx})")
-            seen.add((vid, fidx))
-            if vid in labels and labels[vid] != label:
-                raise ValidationError(f"{path}:{lineno}: label {label!r} disagrees with earlier "
-                                      f"label {labels[vid]!r} for video {vid!r}")
-            labels[vid] = label
-            try:
-                cap = Caption(video_id=vid, frame_index=fidx, text=text)
-            except ValidationError as e:
-                raise ValidationError(f"{path}:{lineno}: {e}") from e
-            per_video.setdefault(vid, []).append(cap)
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                n_lines += 1
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise ValidationError(f"{path}:{lineno}: malformed JSON ({e.msg})") from e
+                if not isinstance(rec, dict):
+                    raise ValidationError(f"{path}:{lineno}: record is not an object")
+                for key, typ in (("video_id", str), ("frame_index", int), ("label", str), ("text", str)):
+                    if key not in rec:
+                        raise ValidationError(f"{path}:{lineno}: missing field {key!r}")
+                    if not isinstance(rec[key], typ) or isinstance(rec[key], bool):
+                        raise ValidationError(f"{path}:{lineno}: field {key!r} must be {typ.__name__}")
+                vid, fidx, label, text = rec["video_id"], rec["frame_index"], rec["label"], rec["text"]
+                if label not in LABELS:
+                    raise ValidationError(f"{path}:{lineno}: label must be one of {LABELS}, got {label!r}")
+                if (vid, fidx) in seen:
+                    raise ValidationError(f"{path}:{lineno}: duplicate (video_id, frame_index) = ({vid!r}, {fidx})")
+                seen.add((vid, fidx))
+                if vid in labels and labels[vid] != label:
+                    raise ValidationError(f"{path}:{lineno}: label {label!r} disagrees with earlier "
+                                          f"label {labels[vid]!r} for video {vid!r}")
+                labels[vid] = label
+                try:
+                    cap = Caption(video_id=vid, frame_index=fidx, text=text)
+                except ValidationError as e:
+                    raise ValidationError(f"{path}:{lineno}: {e}") from e
+                per_video.setdefault(vid, []).append(cap)
+    except UnicodeDecodeError as e:
+        raise ValidationError(_utf8_error(path)) from e
 
     if n_lines == 0:
         raise ValidationError(f"caption file is empty: {path}")
@@ -207,5 +222,6 @@ def sentence_split(text: str) -> list[str]:
     stripped = text.strip()
     if not stripped:
         return []
-    parts = _SENTENCE_RE.split(stripped)
-    return [re.sub(r"\s+", " ", p).strip() for p in parts if p.strip()]
+    # Collapsing whitespace first leaves the split points where they were, and
+    # no part can start or end with whitespace or be empty.
+    return _SENTENCE_RE.split(_WHITESPACE_RE.sub(" ", stripped))

@@ -16,6 +16,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -119,6 +120,61 @@ class SlotSummary:
             object.__setattr__(self, "sentences", expected)
 
 
+class _SentenceStats:
+    """TF-IDF counts of one class's captions, computed once for all its aspects.
+
+    ``sentences`` are the distinct sentences in first-occurrence order.  TF,
+    DF, ``n_docs`` and ``total_tokens`` count every occurrence: a sentence
+    that appears n times is n documents, as if each copy were tokenized on
+    its own.  ``groups`` pairs, for each number k > 0 of distinct terms, the
+    indices of the sentences with k terms and a (rows, k) matrix of their
+    sorted terms' positions in ``terms``.
+    """
+
+    def __init__(self, captions: tuple[str, ...]):
+        counts: dict[str, int] = {}
+        for caption in captions:
+            for sent in sentence_split(caption):
+                counts[sent] = counts.get(sent, 0) + 1
+        self.sentences = tuple(counts)
+        self.n_docs = sum(counts.values())
+        self.total_tokens = 0
+        self.tf: dict[str, int] = {}
+        self.df: dict[str, int] = {}
+        sentence_terms = []
+        for sent, n in counts.items():
+            tokens = tokenize(sent)
+            self.total_tokens += n * len(tokens)
+            for term in tokens:
+                self.tf[term] = self.tf.get(term, 0) + n
+            terms = sorted(set(tokens))
+            for term in terms:
+                self.df[term] = self.df.get(term, 0) + n
+            sentence_terms.append(terms)
+        self.terms = tuple(self.tf)
+        position = {term: j for j, term in enumerate(self.terms)}
+        by_count: dict[int, list[int]] = {}
+        for i, terms in enumerate(sentence_terms):
+            if terms:
+                by_count.setdefault(len(terms), []).append(i)
+        self.groups = [
+            (np.array(rows), np.array([[position[t] for t in sentence_terms[i]] for i in rows]))
+            for rows in by_count.values()
+        ]
+
+
+def _mean_term_weights(weights: np.ndarray, groups, n_sentences: int) -> np.ndarray:
+    """Each sentence's mean term weight; 0.0 for a sentence without terms.
+
+    A group's ``mean(axis=1)`` sums each row as ``np.mean`` sums a lone
+    row, so every score equals the per-sentence ``np.mean`` bit for bit.
+    """
+    scores = np.zeros(n_sentences)
+    for rows, cols in groups:
+        scores[rows] = weights[cols].mean(axis=1)
+    return scores
+
+
 class ExtractiveSummarizer:
     """Deterministic offline fallback summarizer.
 
@@ -128,6 +184,11 @@ class ExtractiveSummarizer:
     down-weighted, so each prompt pulls in sentences about its own aspect.
     The top sentences are kept in rank order; duplicate sentence texts
     collapse to their first occurrence.
+
+    A class's sentence statistics (its distinct sentences and their counts,
+    TF and DF) do not depend on the aspect, so they are computed once per
+    caption list and shared by that class's aspects; each aspect then weighs
+    every distinct term once and scores every distinct sentence once.
     """
 
     def __init__(self, top_sentences: int = EXTRACTIVE_TOP_SENTENCES,
@@ -136,6 +197,8 @@ class ExtractiveSummarizer:
         self.top_sentences = top_sentences
         self.keyword_boost = keyword_boost
         self.off_aspect_weight = off_aspect_weight
+        # One entry per class: a build summarizes each class's aspects in turn.
+        self._stats = lru_cache(maxsize=len(CLASSES))(_SentenceStats)
 
     def _term_boost(self, term: str, aspect: str) -> float:
         if term in ASPECT_KEYWORDS[aspect]:
@@ -149,44 +212,22 @@ class ExtractiveSummarizer:
         return self.off_aspect_weight
 
     def summarize(self, prompt: AspectPrompt, captions: list[str]) -> str:
-        sentences: list[str] = []
-        seen: set[str] = set()
-        all_docs: list[list[str]] = []
-        for cap in captions:
-            for sent in sentence_split(cap):
-                all_docs.append(tokenize(sent))
-                if sent not in seen:
-                    seen.add(sent)
-                    sentences.append(sent)
-        if not sentences:
+        stats = self._stats(tuple(captions))
+        if not stats.sentences:
             raise ValidationError("no sentences available for extractive summarization")
 
         # TF over the whole corpus part with per-sentence DF: knowledge should
         # capture patterns that recur in a class, so frequent terms score high
         # while one-off noise does not dominate.
-        n_docs = len(all_docs)
-        df: dict[str, int] = {}
-        tf: dict[str, int] = {}
-        total_tokens = 0
-        for doc in all_docs:
-            total_tokens += len(doc)
-            for term in doc:
-                tf[term] = tf.get(term, 0) + 1
-            for term in set(doc):
-                df[term] = df.get(term, 0) + 1
-
-        def score(sentence: str) -> float:
-            terms = set(tokenize(sentence))
-            if not terms:
-                return 0.0
-            weighted = [
-                (tf[t] / total_tokens) * math.log(n_docs / df[t]) * self._term_boost(t, prompt.aspect)
-                for t in sorted(terms)
-            ]
-            return float(np.mean(weighted))
-
-        ranked = sorted(range(len(sentences)), key=lambda i: (-score(sentences[i]), i))
-        picked = [sentences[i] for i in ranked[: self.top_sentences]]
+        weights = np.array([
+            (stats.tf[t] / stats.total_tokens) * math.log(stats.n_docs / stats.df[t])
+            * self._term_boost(t, prompt.aspect)
+            for t in stats.terms
+        ])
+        scores = _mean_term_weights(weights, stats.groups, len(stats.sentences))
+        # A stable sort keeps tied sentences in first-occurrence order.
+        ranked = np.argsort(-scores, kind="stable")
+        picked = [stats.sentences[i] for i in ranked[: self.top_sentences]]
         # Guarantee each selected sentence keeps its own boundary when joined.
         normalized = [s if s.endswith((".", "!", "?")) else s + "." for s in picked]
         return " ".join(normalized)

@@ -148,6 +148,15 @@ class TestValidation:
                                str(tmp_path / "nope.jsonl"))
         assert code == 1
 
+    def test_captions_file_that_is_not_utf8_rejected(self, tmp_path, capsys):
+        good = json.dumps({"video_id": "v", "frame_index": 0, "label": "normal", "text": "A cat."})
+        bad = tmp_path / "utf16.jsonl"
+        bad.write_bytes(good.encode("utf-8") + b"\n" + b"\xff\xfe" + good.encode("utf-16-le"))
+        code, _, err = run_cli(capsys, "caption-stats", "--captions", str(bad))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{bad}:2: not valid UTF-8" in err
+
     def test_unknown_subcommand_rejected(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 1
 
@@ -279,10 +288,34 @@ class TestDeterminism:
         cfg = cli_config(tmp_path)
         data = tmp_path / "d"
         data.mkdir()
-        (data / ".tbvad.lock").write_text("123")
+        (data / ".tbvad.lock").write_text(str(os.getpid()))
         code, _, err = run_cli(capsys, "gen-synth", "--config", cfg, "--out", str(data))
         assert code == 2
         assert "locked" in err
+
+    @pytest.mark.skipif(os.name != "posix", reason="PIDs are probed with signal 0")
+    def test_lock_of_a_process_that_is_gone_is_taken_over(self, tmp_path, capsys):
+        cfg = cli_config(tmp_path)
+        data = tmp_path / "d"
+        data.mkdir()
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        (data / ".tbvad.lock").write_text(str(child.pid))
+        code, _, err = run_cli(capsys, "gen-synth", "--config", cfg, "--out", str(data))
+        assert code == 0, err
+        assert (data / "train.jsonl").exists()
+        assert not (data / ".tbvad.lock").exists()
+
+    @pytest.mark.parametrize("content", ["not-a-pid", "", "0", "-1"])
+    def test_lock_without_a_pid_blocks(self, tmp_path, capsys, content):
+        cfg = cli_config(tmp_path)
+        data = tmp_path / "d"
+        data.mkdir()
+        (data / ".tbvad.lock").write_text(content)
+        code, _, err = run_cli(capsys, "gen-synth", "--config", cfg, "--out", str(data))
+        assert code == 2
+        assert "locked" in err
+        assert (data / ".tbvad.lock").read_text() == content
 
 
 class TestAblate:

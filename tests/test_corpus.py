@@ -17,6 +17,7 @@ from tbvad.corpus import (
 )
 from tbvad.errors import ValidationError
 
+import reference_summarizer
 from conftest import make_video
 
 
@@ -200,6 +201,11 @@ class TestSentenceSplit:
 
     def test_no_split_without_whitespace(self):
         assert sentence_split("v1.2 is fine") == ["v1.2 is fine"]
+
+    @given(st.text(alphabet=st.one_of(st.sampled_from(" \t\n\r\x0b\x1c\xa0\u2028.!?ab"),
+                                      st.characters()), max_size=60))
+    def test_matches_per_part_reference(self, text):
+        assert sentence_split(text) == reference_summarizer.sentence_split(text)
 
     @given(st.text(max_size=200))
     def test_never_empty_and_reconstructs(self, text):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import random
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tbvad.corpus import CaptionCorpus, sentence_split
+from tbvad.corpus import CaptionCorpus, group_by_class, sentence_split
 from tbvad.embedding import EmbedderConfig, embed_tokens, mean_pool, tokenize
 from tbvad.errors import TbvadError, ValidationError
 from tbvad.knowledge import (
@@ -13,6 +16,7 @@ from tbvad.knowledge import (
     AspectPrompt,
     ExtractiveSummarizer,
     RemoteGenerator,
+    _mean_term_weights,
     build_knowledge,
     class_agnostic_prototypes,
     default_prompts,
@@ -22,8 +26,10 @@ from tbvad.knowledge import (
     summarize_aspect,
 )
 from tbvad.remote import VectorCache
+from tbvad.synthetic import SyntheticConfig, generate_corpus
 
 from conftest import make_video
+from reference_summarizer import ReferenceSummarizer
 from stubs import StubService
 
 EMB = EmbedderConfig(backend="hash", d=32, max_tokens=4096, seed=5)
@@ -116,6 +122,100 @@ class TestSummarizeAspect:
         corpus = corpus_of(["First thing happens. Second thing happens. Third arrives!"])
         summary = summarize_aspect(corpus, default_prompts()["context"], "n", ExtractiveSummarizer())
         assert list(summary.sentences) == sentence_split(summary.text)
+
+
+def made_up_pools(seed, n_words):
+    """Per-aspect pools of distinct made-up words, as the remote benchmark draws them."""
+    rng = random.Random(seed)
+    words = set()
+    while len(words) < len(ASPECTS) * n_words:
+        words.add("".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(5, 9))))
+    words = sorted(words)
+    rng.shuffle(words)
+    return {a: tuple(words[i * n_words:(i + 1) * n_words]) for i, a in enumerate(ASPECTS)}
+
+
+def assert_matches_reference(caption_lists, summarizer=None):
+    """Every (caption list, aspect) summary equals the per-occurrence reference's."""
+    summarizer = summarizer or ExtractiveSummarizer()
+    reference = ReferenceSummarizer()
+    prompts = default_prompts()
+    for captions in caption_lists:
+        for aspect in ASPECTS:
+            assert (summarizer.summarize(prompts[aspect], captions)
+                    == reference.summarize(prompts[aspect], captions)), (aspect, captions[:3])
+
+
+WORDS = ("man", "Man", "walks", "runs", "running", "building", "setting", "lighting",
+         "bag", "knife", "street", "night", "crowd", "calm", "object", "a", "the", "zq")
+SENTENCES = st.builds(
+    lambda words, end: " ".join(words) + end,
+    st.lists(st.sampled_from(WORDS), max_size=6),
+    st.sampled_from([".", "!", "?", "...", ""]),
+).filter(lambda s: s.strip())
+
+
+@st.composite
+def caption_lists_with_repeats(draw):
+    """Captions drawn with replacement from a small sentence pool, so sentences repeat."""
+    pool = draw(st.lists(SENTENCES, min_size=1, max_size=14))
+    caption = st.lists(st.sampled_from(pool), min_size=1, max_size=4).map(" ".join)
+    return draw(st.lists(caption, min_size=1, max_size=30))
+
+
+class TestExtractiveSummarizerOracle:
+    """The shared-statistics summarizer returns the reference's text byte for byte."""
+
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"normal_pools": made_up_pools(905, 240), "anomaly_pools": made_up_pools(906, 8)},
+        {"anomaly_frame_ratio": 0.15, "planted_aspects": ("environment",)},
+    ], ids=["default-pools", "240-word-pools", "short-anomalies"])
+    def test_bench_like_corpora(self, extra):
+        corpus, _ = generate_corpus(SyntheticConfig(n_videos=200, seed=1802, **extra))
+        assert_matches_reference([part.all_caption_texts() for part in group_by_class(corpus)])
+
+    @given(caption_lists_with_repeats())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_captions_with_repeated_sentences(self, captions):
+        assert_matches_reference([captions])
+
+    def test_instance_reused_across_caption_lists(self):
+        lists = [[f"A man carries a bag{i}. The street is dark.", "Crowd gathering at night."] * i
+                 for i in range(1, 5)]
+        summarizer = ExtractiveSummarizer()
+        assert_matches_reference(lists + lists[::-1] + lists, summarizer)
+
+    def test_sentences_without_terms(self):
+        captions = ["...", "... A man runs.", "!? The bag is visible. ...", "..."]
+        assert_matches_reference([captions])
+        with pytest.raises(ValidationError):
+            ExtractiveSummarizer().summarize(default_prompts()["action"], [" "])
+
+    def test_other_aspects_ing_cues_are_not_actions(self):
+        captions = ["The building is quiet.", "The setting is calm."] * 3 + ["A man is jogging."]
+        assert_matches_reference([captions])
+        text = ExtractiveSummarizer(top_sentences=1).summarize(default_prompts()["action"], captions)
+        assert text == "A man is jogging."
+
+    def test_tied_scores_keep_first_occurrence_order(self):
+        captions = [f"Alpha{i} beta{i}." for i in range(12)] + ["Knife knife."]
+        assert_matches_reference([captions])
+        text = ExtractiveSummarizer().summarize(default_prompts()["context"], captions)
+        assert text.split(". ")[:3] == ["Knife knife", "Alpha0 beta0", "Alpha1 beta1"]
+
+    @given(st.integers(1, 40), st.integers(1, 25), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_grouped_row_means_equal_per_row_np_mean(self, n_terms, n_rows, data):
+        weights = np.array(data.draw(st.lists(
+            st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False), min_size=n_terms,
+            max_size=2 * n_terms)))
+        cols = np.array([data.draw(st.permutations(range(len(weights))))[:n_terms]
+                         for _ in range(n_rows)])
+        rows = np.array(data.draw(st.permutations(range(n_rows + 3))))[:n_rows]
+        scores = _mean_term_weights(weights, [(rows, cols)], n_rows + 3)
+        for r, c in zip(rows, cols):
+            assert scores[r].tobytes() == np.float64(np.mean(list(weights[c]))).tobytes()
 
 
 class TestBuildKnowledge:

@@ -1,0 +1,102 @@
+"""Loaders reject damaged files with a TbvadError, never another exception.
+
+Each test starts from a valid file, then truncates it or replaces, inserts or
+deletes one byte, and loads the result: the load may succeed or raise a
+``TbvadError``, and anything else escaping fails the test.  The model's
+dimensions are single digits, so one edit leaves each at most 99 and no
+case makes ``init_model_params`` allocate more than a few MB.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from tbvad.classifier import ModelConfig, init_model_params, load_model, serialize_model
+from tbvad.cli import _load_combos, resolve_config
+from tbvad.corpus import CaptionCorpus, load_captions
+from tbvad.embedding import EmbedderConfig
+from tbvad.errors import TbvadError
+from tbvad.knowledge import build_knowledge, default_prompts, load_knowledge
+
+from conftest import make_video
+
+# Bytes that often turn a valid file into an interesting invalid one.
+BYTES = st.one_of(st.binary(min_size=1, max_size=1),
+                  st.sampled_from([b"\xff", b"\x80", b"\xc3", b"0", b"9", b"-", b'"', b"{",
+                                   b"]", b",", b"\n", b" "]))
+
+
+@st.composite
+def damaged(draw, data: bytes) -> bytes:
+    """``data`` truncated, or with one byte replaced, inserted or deleted."""
+    kind = draw(st.sampled_from(("truncate", "replace", "insert", "delete")))
+    pos = draw(st.integers(0, len(data) - 1))
+    if kind == "truncate":
+        return data[:pos]
+    if kind == "delete":
+        return data[:pos] + data[pos + 1:]
+    byte = draw(BYTES)
+    return data[:pos] + byte + data[pos + (kind == "replace"):]
+
+
+CAPTIONS = "".join(
+    json.dumps({"video_id": vid, "frame_index": i, "label": label, "text": text},
+               ensure_ascii=False) + "\n"
+    for vid, label, texts in (("v1", "normal", ["A man walks by the café.", "He waves."]),
+                              ("v2", "abnormal", ["A knife is visible!", "Two men fight."]))
+    for i, text in enumerate(texts)
+).encode("utf-8")
+
+
+def _knowledge_file() -> bytes:
+    d_n = CaptionCorpus(videos=(make_video("n0", "normal", ["People walk past the store."]),))
+    d_a = CaptionCorpus(videos=(make_video("a0", "abnormal", ["A man swings a bat."]),))
+    kb = build_knowledge(d_n, d_a, default_prompts(),
+                         EmbedderConfig(backend="hash", d=8, max_tokens=4096, seed=3),
+                         active_aspects=("object", "environment"))
+    return (kb.to_json() + "\n").encode("utf-8")
+
+
+MODEL = serialize_model(init_model_params(ModelConfig(
+    d_model=8, num_layers=1, num_heads=2, d_ff=9, d_latent=4, knowledge_dim=8,
+    k_frames=3, seed=1, active_aspects=("object", "environment"), mil_top_k=2)))
+
+CONFIG = json.dumps({
+    "seed": 5, "k_frames": 6, "aspects": ["object", "action"],
+    "embedder": {"backend": "hash", "d": 32, "max_tokens": 512},
+    "train": {"learning_rate": 0.25, "epochs": 8, "freeze_importance_net": False},
+}).encode("utf-8")
+
+LOADERS = {
+    "captions": (CAPTIONS, load_captions),
+    "knowledge": (_knowledge_file(), load_knowledge),
+    "model": (MODEL, load_model),
+    "config": (CONFIG, lambda path: resolve_config(argparse.Namespace(config=str(path)))),
+    "combos": (b'[["object"], ["context", "environment"]]', lambda path: _load_combos(str(path))),
+}
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_undamaged_file_loads(tmp_path, name):
+    data, load = LOADERS[name]
+    path = tmp_path / name
+    path.write_bytes(data)
+    load(path)
+
+
+@pytest.mark.parametrize("name", LOADERS)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edit=st.data())
+def test_damaged_file_loads_or_raises_tbvad_error(tmp_path, name, edit):
+    data, load = LOADERS[name]
+    path = tmp_path / name
+    path.write_bytes(edit.draw(damaged(data)))
+    try:
+        load(path)
+    except TbvadError:
+        pass
