@@ -27,6 +27,7 @@ import math
 import struct
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -630,7 +631,7 @@ def _is_tensor_entry(entry) -> bool:
 
 
 def load_model(path) -> ModelParams:
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != MODEL_MAGIC:
         raise ModelFormatError("not a model file (bad magic)", offset=0)
     (header_len,) = struct.unpack_from("<Q", data, 4)
@@ -670,6 +671,11 @@ def load_model(path) -> ModelParams:
         if offset + nbytes > len(data):
             raise ModelFormatError(f"truncated tensor block {name}", offset=offset)
         block = np.frombuffer(data, dtype="<f4", count=nbytes // 4, offset=offset)
+        finite = np.isfinite(block)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ModelFormatError(f"tensor {name} holds a non-finite value ({block[bad]})",
+                                   offset=offset + 4 * bad)
         arr[...] = block.reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(data):

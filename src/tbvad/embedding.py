@@ -8,8 +8,9 @@ Two interchangeable backends produce per-token embedding sequences:
   vectors and the whole embedder is a pure function of (text, d, seed).
 * ``remote`` — a client for an HTTP embedding service standing in for a
   frozen pretrained encoder.  Token strings are sent as texts in batches of
-  at most 64, fetched with bounded parallelism, and cached on disk so a
-  rerun issues no network requests.
+  at most 64, fetched with bounded parallelism, and cached on disk, one pack
+  file per call that fetched anything, so a rerun issues no network
+  requests.
 
 Both keep every token vector they produce in memory for the life of the
 embedder, and ``embed_captions`` looks up the distinct tokens of many texts
@@ -214,11 +215,11 @@ class RemoteEmbedder(_TokenEmbedder):
             else:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
                     fetched = list(pool.map(self._fetch_batch, batches))
-            for batch, vecs in zip(batches, fetched):
-                for text, vec in zip(batch, vecs):
-                    if self.cache:
-                        self.cache.put(missing[text], vec)
-                    self._token_cache[text] = np.asarray(vec, dtype=np.float64)
+            vectors = [vec for vecs in fetched for vec in vecs]
+            if self.cache:
+                self.cache.put([(missing[text], vec) for text, vec in zip(unique_missing, vectors)])
+            for text, vec in zip(unique_missing, vectors):
+                self._token_cache[text] = np.asarray(vec, dtype=np.float64)
         return [self._token_cache[t] for t in texts]
 
     def _lookup(self, tokens: list[str]) -> list[np.ndarray]:

@@ -59,8 +59,8 @@ ASPECT_KEYWORDS: dict[str, frozenset[str]] = {
     "environment": frozenset({
         "setting", "surroundings", "location", "place", "street", "road",
         "building", "store", "park", "lot", "sidewalk", "indoor", "outdoor",
-        "night", "day", "dark", "bright", "platform", "entrance", "alley",
-        "corridor",
+        "night", "day", "dark", "bright", "lighting", "platform", "entrance",
+        "alley", "corridor",
     }),
 }
 

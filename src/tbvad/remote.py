@@ -2,9 +2,10 @@
 
 Both services are simple JSON-over-POST endpoints.  Calls are retried on
 connection, timeout, 5xx, 408 and 429 failures, and responses are cached on
-disk so reruns are idempotent and issue zero network requests.  Cache writes
-go through a temp file + rename so concurrent writers cannot leave partial
-files.
+disk so reruns are idempotent and issue zero network requests.  Embeddings
+are cached as one pack file per store, generated texts as one file per
+prompt.  Cache writes go through a temp file + rename so concurrent writers
+cannot leave partial files.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TIMEOUT_MS = 30_000
 DEFAULT_RETRIES = 3
-_COUNT_HEADER = struct.Struct("<Q")
+# Pack header: key count and vector dim.
+_PACK_HEADER = struct.Struct("<QQ")
+_KEY_BYTES = 32
 # Client errors worth a retry: request timeout and too many requests.
 _RETRIABLE_4XX = (408, 429)
 
@@ -84,16 +87,24 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 
 class VectorCache:
-    """On-disk cache of float32 vectors, one file per key.
+    """On-disk cache of float32 vectors, stored as pack files of many keys each.
 
-    File layout: an 8-byte little-endian count followed by that many raw
-    little-endian float32 values.  Keys are SHA-256 over
-    (endpoint, dim, text), NUL-separated.
+    Pack layout: an 8-byte little-endian count ``n`` and an 8-byte
+    little-endian dim ``d``, then ``n`` raw 32-byte SHA-256 keys, then
+    ``n * d`` little-endian float32 values, one row per key.  A pack is
+    named by the SHA-256 of its bytes plus ``.vecs``, so a pack whose bytes
+    no longer hash to its name, or whose length disagrees with its header,
+    is dropped with a warning and cannot return a wrong vector.  Keys are
+    SHA-256 over (endpoint, dim, text), NUL-separated.
+
+    The first lookup reads every pack in the directory once, in sorted name
+    order; when packs share a key, the first one read wins.
     """
 
     def __init__(self, cache_dir: str | Path):
         self.dir = Path(cache_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
+        self._index: dict[bytes, np.ndarray] | None = None
 
     @staticmethod
     def key(endpoint: str, dim: int, text: str) -> str:
@@ -105,27 +116,46 @@ class VectorCache:
         h.update(text.encode("utf-8"))
         return h.hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.dir / f"{key}.vec"
+    def _read_pack(self, path: Path) -> tuple[list[bytes], list[np.ndarray]] | None:
+        """The raw keys and float32 rows of one pack, or None if it is damaged."""
+        data = path.read_bytes()
+        if hashlib.sha256(data).hexdigest() != path.stem:
+            logger.warning("dropping cache pack %s: its bytes do not match its name", path)
+            return None
+        if len(data) >= _PACK_HEADER.size:
+            n, d = _PACK_HEADER.unpack_from(data)
+            keys_end = _PACK_HEADER.size + _KEY_BYTES * n
+            if len(data) == keys_end + 4 * n * d:
+                keys = np.frombuffer(data, dtype=f"V{_KEY_BYTES}", count=n, offset=_PACK_HEADER.size)
+                rows = np.frombuffer(data, dtype="<f4", count=n * d, offset=keys_end)
+                return keys.tolist(), list(rows.reshape(n, d))
+        logger.warning("dropping cache pack %s: its length does not match its header", path)
+        return None
+
+    def _entries(self) -> dict[bytes, np.ndarray]:
+        if self._index is None:
+            packs = [self._read_pack(path) for path in sorted(self.dir.glob("*.vecs"))]
+            self._index = {}
+            # Merged last to first, so a key in several packs keeps the first pack's row.
+            for pack in reversed(packs):
+                if pack is not None:
+                    self._index.update(zip(*pack))
+        return self._index
 
     def get(self, key: str) -> np.ndarray | None:
-        path = self._path(key)
-        if not path.exists():
-            return None
-        data = path.read_bytes()
-        if len(data) < _COUNT_HEADER.size:
-            logger.warning("dropping truncated cache file %s", path)
-            return None
-        (count,) = _COUNT_HEADER.unpack_from(data)
-        expected = _COUNT_HEADER.size + 4 * count
-        if len(data) != expected:
-            logger.warning("dropping corrupt cache file %s", path)
-            return None
-        return np.frombuffer(data, dtype="<f4", offset=_COUNT_HEADER.size, count=count).copy()
+        return self._entries().get(bytes.fromhex(key))
 
-    def put(self, key: str, vector: np.ndarray) -> None:
-        vec = np.ascontiguousarray(vector, dtype="<f4")
-        _atomic_write(self._path(key), _COUNT_HEADER.pack(vec.size) + vec.tobytes())
+    def put(self, items: list[tuple[str, np.ndarray]]) -> None:
+        """Write ``(key, vector)`` pairs of one dim as one pack."""
+        if not items:
+            return
+        index = self._entries()
+        keys = [bytes.fromhex(key) for key, _ in items]
+        rows = np.stack([np.asarray(vec, dtype="<f4") for _, vec in items])
+        data = b"".join([_PACK_HEADER.pack(*rows.shape), *keys, rows.tobytes()])
+        _atomic_write(self.dir / f"{hashlib.sha256(data).hexdigest()}.vecs", data)
+        for key, row in zip(keys, rows):
+            index.setdefault(key, row)
 
 
 class TextCache:

@@ -387,6 +387,35 @@ class TestMalformedHeaders:
             self.load_with(tmp_path, raw, header)
 
 
+def tensor_offset(raw: bytes, name: str) -> int:
+    """Byte offset of a tensor block in a serialized model."""
+    (header_len,) = struct.unpack_from("<Q", raw, 4)
+    offset = 12 + header_len
+    for entry in model_header(raw)["tensors"]:
+        if entry["name"] == name:
+            return offset
+        offset += 4 * math.prod(entry["shape"])
+    raise KeyError(name)
+
+
+class TestNonFiniteTensors:
+    RAW = serialize_model(init_model_params(ModelConfig(
+        d_model=8, num_layers=1, num_heads=2, d_ff=16, d_latent=4, knowledge_dim=8,
+        k_frames=4, seed=3, active_aspects=("object", "environment"))))
+
+    @pytest.mark.parametrize("name, index, value", [
+        ("fuse_w", 0, np.nan), ("fuse_w", 3, -np.inf), ("gate", 0, np.inf),
+    ])
+    def test_rejected_with_tensor_and_offset(self, tmp_path, name, index, value):
+        at = tensor_offset(self.RAW, name) + 4 * index
+        raw = bytearray(self.RAW)
+        raw[at:at + 4] = np.array(value, dtype="<f4").tobytes()
+        path = tmp_path / "model.tbvm"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ModelFormatError, match=rf"tensor {name} holds a non-finite .*offset {at}\)"):
+            load_model(path)
+
+
 class TestBatchedStepOracle:
     """The batched step equals the per-video reference bit for bit."""
 
@@ -521,8 +550,12 @@ class TestBatchedScoringOracle:
             cold, _ = score_corpus(corpus, tiny_kb, params, emb)
             assert svc.request_count == -(-len(distinct) // 64)
             assert all(r["path"] == "/embed" for r in svc.requests)
+            # The fetched vectors go to disk as one pack file.
+            packs = list((tmp_path / "cache" / "embed").iterdir())
+            assert len(packs) == 1
             warm, _ = score_corpus(corpus, tiny_kb, params, emb)
             assert svc.request_count == -(-len(distinct) // 64)
+            assert list((tmp_path / "cache" / "embed").iterdir()) == packs
         assert np.array_equal(cold, warm)
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tbvad.cli import main
@@ -219,6 +220,20 @@ class TestEvalExplain:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("runtime error:") and "config" in proc.stderr
+
+    def test_eval_non_finite_model_exits_2(self, workspace):
+        raw = bytearray(workspace["model"].read_bytes())
+        raw[-4:] = np.array(np.inf, dtype="<f4").tobytes()  # the gate, the last tensor
+        bad = workspace["tmp"] / "inf_gate.tbvm"
+        bad.write_bytes(bytes(raw))
+        proc = run_tbvad("eval", "--config", workspace["cfg"],
+                         "--captions", str(workspace["data"] / "test.jsonl"),
+                         "--knowledge", str(workspace["kb"]), "--model", str(bad),
+                         cwd=workspace["tmp"])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("runtime error:") and "tensor gate" in line
 
     def test_eval_malformed_knowledge_exits_1(self, workspace):
         raw = json.loads(workspace["kb"].read_text(encoding="utf-8"))

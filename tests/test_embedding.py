@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,21 +242,83 @@ class TestRemoteEmbedder:
 
     def test_cache_file_format(self, tmp_path):
         cache = VectorCache(tmp_path / "vc")
-        key = VectorCache.key("http://x", 4, "word")
-        cache.put(key, np.array([1.5, -2.5, 0.0, 3.25], dtype=np.float32))
-        raw = (tmp_path / "vc" / f"{key}.vec").read_bytes()
-        assert len(raw) == 8 + 4 * 4
-        assert int.from_bytes(raw[:8], "little") == 4
-        got = cache.get(key)
-        assert np.array_equal(got, np.array([1.5, -2.5, 0.0, 3.25], dtype=np.float32))
+        keys = [VectorCache.key("http://x", 4, w) for w in ("word", "other")]
+        rows = np.array([[1.5, -2.5, 0.0, 3.25], [4.0, 0.5, -1.0, 2.0]], dtype=np.float32)
+        cache.put(list(zip(keys, rows)))
+        (path,) = (tmp_path / "vc").iterdir()
+        raw = path.read_bytes()
+        assert path.name == hashlib.sha256(raw).hexdigest() + ".vecs"
+        assert len(raw) == 16 + 2 * 32 + 2 * 4 * 4
+        assert int.from_bytes(raw[:8], "little") == 2
+        assert int.from_bytes(raw[8:16], "little") == 4
+        assert raw[16:80] == bytes.fromhex(keys[0]) + bytes.fromhex(keys[1])
+        assert raw[80:] == rows.astype("<f4").tobytes()
+        assert np.array_equal(cache.get(keys[1]), rows[1])
 
-    def test_truncated_cache_file_ignored(self, tmp_path):
-        cache = VectorCache(tmp_path / "vc")
+    def test_fresh_instance_reads_vectors_back(self, tmp_path):
+        rng = np.random.default_rng(5)
+        items = [(VectorCache.key("http://x", 8, f"w{i}"), rng.normal(size=8).astype(np.float32))
+                 for i in range(130)]
+        VectorCache(tmp_path / "vc").put(items[:70])
+        VectorCache(tmp_path / "vc").put(items[70:])
+        fresh = VectorCache(tmp_path / "vc")
+        for key, vec in items:
+            assert np.array_equal(fresh.get(key), vec)
+        assert fresh.get(VectorCache.key("http://x", 8, "unknown")) is None
+
+    def test_truncated_cache_file_ignored(self, tmp_path, caplog):
         key = VectorCache.key("http://x", 4, "word")
-        cache.put(key, np.ones(4, dtype=np.float32))
-        path = tmp_path / "vc" / f"{key}.vec"
-        path.write_bytes(path.read_bytes()[:10])
-        assert cache.get(key) is None
+        VectorCache(tmp_path / "vc").put([(key, np.ones(4, dtype=np.float32))])
+        (path,) = (tmp_path / "vc").iterdir()
+        path.write_bytes(path.read_bytes()[:30])
+        assert VectorCache(tmp_path / "vc").get(key) is None
+        assert "do not match its name" in caplog.text
+
+    def test_pack_length_checked_against_header(self, tmp_path, caplog):
+        key = VectorCache.key("http://x", 4, "word")
+        VectorCache(tmp_path / "vc").put([(key, np.ones(4, dtype=np.float32))])
+        (path,) = (tmp_path / "vc").iterdir()
+        raw = path.read_bytes()[:-4]
+        path.unlink()
+        (tmp_path / "vc" / f"{hashlib.sha256(raw).hexdigest()}.vecs").write_bytes(raw)
+        assert VectorCache(tmp_path / "vc").get(key) is None
+        assert "does not match its header" in caplog.text
+
+    def test_duplicate_key_resolves_to_lowest_pack_name(self, tmp_path):
+        key = VectorCache.key("http://x", 4, "word")
+        versions = [np.full(4, float(i), dtype=np.float32) for i in range(4)]
+        for vec in versions:
+            VectorCache(tmp_path / "vc").put([(key, vec)])
+        packs = sorted((tmp_path / "vc").iterdir())
+        assert len(packs) == 4
+        lowest = np.frombuffer(packs[0].read_bytes()[-16:], dtype="<f4")
+        assert np.array_equal(VectorCache(tmp_path / "vc").get(key), lowest)
+
+    @pytest.mark.parametrize("damage", ["edit", "truncate"])
+    def test_damaged_pack_dropped_and_refetched(self, tmp_path, caplog, damage):
+        with StubService() as svc:
+            cfg = self.cfg(svc.endpoint, tmp_path)
+            first = embed_tokens("kappa lambda mu", cfg)
+            assert svc.request_count == 1
+            (path,) = (tmp_path / "cache" / "embed").iterdir()
+            raw = bytearray(path.read_bytes())
+            if damage == "edit":
+                raw[-1] ^= 0x40
+            else:
+                del raw[-4:]
+            path.write_bytes(bytes(raw))
+            again = embed_tokens("kappa lambda mu", cfg)
+            assert svc.request_count == 2
+            assert sum(len(r["body"]["texts"]) for r in svc.requests) == 6
+        assert np.array_equal(first.vectors, again.vectors)
+        assert "dropping cache pack" in caplog.text
+
+    def test_old_per_token_file_ignored(self, tmp_path):
+        key = VectorCache.key("http://x", 4, "word")
+        old = np.ones(4, dtype="<f4")
+        (tmp_path / "vc").mkdir()
+        (tmp_path / "vc" / f"{key}.vec").write_bytes((4).to_bytes(8, "little") + old.tobytes())
+        assert VectorCache(tmp_path / "vc").get(key) is None
 
     def test_requires_endpoint(self):
         with pytest.raises(ValidationError, match="endpoint"):

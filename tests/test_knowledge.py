@@ -95,6 +95,12 @@ class TestSummarizeAspect:
         summary = summarize_aspect(corpus, default_prompts()["action"], "n", ExtractiveSummarizer())
         assert summary.text == "A lone cyclist rides past."
 
+    def test_lighting_is_an_environment_cue_not_an_action(self):
+        corpus = corpus_of(["The building is quiet.", "The setting is calm.", "A man is jogging.",
+                            "Lighting is dim.", "A man is jogging."])
+        summary = summarize_aspect(corpus, default_prompts()["action"], "n", ExtractiveSummarizer())
+        assert summary.sentences[0] == "A man is jogging."
+
     def test_stub_backend_passthrough(self):
         corpus = corpus_of(["Anything at all."])
         stub = StubSummarizer("The service wrote this.")

@@ -4,7 +4,8 @@ Each test starts from a valid file, then truncates it or replaces, inserts or
 deletes one byte, and loads the result: the load may succeed or raise a
 ``TbvadError``, and anything else escaping fails the test.  The model's
 dimensions are single digits, so one edit leaves each at most 99 and no
-case makes ``init_model_params`` allocate more than a few MB.
+case makes ``init_model_params`` allocate more than a few MB.  A damaged
+embedding-cache pack must yield each stored vector or nothing.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -21,6 +23,7 @@ from tbvad.corpus import CaptionCorpus, load_captions
 from tbvad.embedding import EmbedderConfig
 from tbvad.errors import TbvadError
 from tbvad.knowledge import build_knowledge, default_prompts, load_knowledge
+from tbvad.remote import VectorCache
 
 from conftest import make_video
 
@@ -100,3 +103,21 @@ def test_damaged_file_loads_or_raises_tbvad_error(tmp_path, name, edit):
         load(path)
     except TbvadError:
         pass
+
+
+PACK_ITEMS = [(VectorCache.key("http://stub", 4, word), np.arange(4, dtype=np.float32) + i)
+              for i, word in enumerate(("man", "walks", "knife"))]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edit=st.data())
+def test_damaged_pack_yields_stored_vector_or_none(tmp_path, edit):
+    cache_dir = tmp_path / "embed"
+    VectorCache(cache_dir).put(PACK_ITEMS)  # rewrites the same pack name every example
+    (path,) = cache_dir.iterdir()
+    path.write_bytes(edit.draw(damaged(path.read_bytes())))
+    cache = VectorCache(cache_dir)
+    for key, vec in PACK_ITEMS:
+        got = cache.get(key)
+        assert got is None or np.array_equal(got, vec)
