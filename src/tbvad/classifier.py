@@ -9,11 +9,10 @@ its training signal through a gated residual: the importance-weighted slot
 context (computed against class-agnostic prototypes) is added to the pooled
 description before projection, with the scalar gate initialized to zero.
 
-Training minimizes mean video-level binary cross-entropy with L2 on the
-weight matrices, by plain seeded-shuffle mini-batch gradient descent.  An
-optional multiple-instance variant (top-k pooling over sliding caption
-windows) sits behind a config flag and is off by default.  All gradients
-are analytic and finite-difference checked in the test suite.
+Every video is one segment of evenly sampled captions.  Training
+minimizes mean video-level binary cross-entropy with L2 on the weight
+matrices, by plain seeded-shuffle mini-batch gradient descent.  All
+gradients are analytic and finite-difference checked in the test suite.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import json
 import math
 import struct
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -75,7 +74,6 @@ class TrainConfig:
     num_heads: int = 4
     d_latent: int = 128
     ff_multiple: int = 4
-    mil_top_k: int | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.learning_rate <= 1.0):
@@ -101,7 +99,6 @@ class ModelConfig:
     k_frames: int
     seed: int
     active_aspects: tuple[str, ...]
-    mil_top_k: int | None = None
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -258,11 +255,12 @@ def _head_backward(dlogit: float, params: ModelParams, know: KnowledgeInputs, ca
 
 @dataclass
 class VideoFeatures:
-    """Precomputed per-caption embedding segments for one video."""
+    """One video's segment: its sampled caption vectors (T, d) and their mask (T,)."""
 
     video_id: str
     target: float
-    segments: list[tuple[np.ndarray, np.ndarray]]
+    x: np.ndarray
+    mask: np.ndarray
 
 
 def _frame_vectors(embedder, texts: list[str]) -> list[np.ndarray]:
@@ -279,42 +277,27 @@ def _frame_vectors(embedder, texts: list[str]) -> list[np.ndarray]:
     return out
 
 
-def videos_features(videos, emb_cfg: EmbedderConfig, k_frames: int,
-                    mil_top_k: int | None) -> list[VideoFeatures]:
-    """Features of each video, from one embedder and one embed_captions call.
-
-    A video is one evenly sampled segment, or sliding windows over all its
-    captions in the MIL variant.
-    """
+def videos_features(videos, emb_cfg: EmbedderConfig, k_frames: int) -> list[VideoFeatures]:
+    """Each video's evenly sampled segment, from one embedder and one embed_captions call."""
     emb = make_embedder(emb_cfg)
-    picked = [sample_evenly(v, k_frames) if mil_top_k is None else v.captions for v in videos]
+    picked = [sample_evenly(v, k_frames) for v in videos]
     vectors = iter(_frame_vectors(emb, [c.text for caps in picked for c in caps]))
     out = []
     for video, caps in zip(videos, picked):
         x = np.stack([next(vectors) for _ in caps])
-        n = x.shape[0]
-        if mil_top_k is None:
-            segments = [(x, np.ones(n, dtype=bool))]
-        else:
-            window = min(k_frames, n)
-            stride = max(1, window // 2)
-            starts = list(range(0, max(n - window, 0) + 1, stride))
-            if starts[-1] != n - window:
-                starts.append(n - window)
-            segments = [(x[s:s + window], np.ones(window, dtype=bool)) for s in starts]
         target = 1.0 if video.label == "abnormal" else 0.0
-        out.append(VideoFeatures(video_id=video.video_id, target=target, segments=segments))
+        out.append(VideoFeatures(video_id=video.video_id, target=target, x=x,
+                                 mask=np.ones(len(caps), dtype=bool)))
     return out
 
 
-def video_features(video: VideoRecord, emb_cfg: EmbedderConfig, k_frames: int,
-                   mil_top_k: int | None) -> VideoFeatures:
-    """One evenly sampled segment, or sliding windows in the MIL variant."""
-    return videos_features([video], emb_cfg, k_frames, mil_top_k)[0]
+def video_features(video: VideoRecord, emb_cfg: EmbedderConfig, k_frames: int) -> VideoFeatures:
+    """One video's evenly sampled segment."""
+    return videos_features([video], emb_cfg, k_frames)[0]
 
 
 class _Segment(NamedTuple):
-    """One encoded segment: its group, its row in that group, and its head."""
+    """One video's encoded segment: its group, its row in that group, and its head."""
 
     group: int
     row: int
@@ -326,70 +309,51 @@ class _Segment(NamedTuple):
 class _BatchForward:
     """Forward state of a list of videos.
 
-    ``videos[v]`` is (aggregated logit, selected segment ids), with segment
-    ids counted across the videos in order; ``groups[g]`` is the (B, T)
-    mask and the encoder caches of one encoder_forward.
+    ``segments[v]`` is video v's encoded segment; ``groups[g]`` is the
+    (B, T) mask and the encoder caches of one encoder_forward.
     """
 
-    videos: list[tuple[float, list[int]]]
     segments: list[_Segment]
     groups: list[tuple[np.ndarray, list]]
 
 
 def _forward(params: ModelParams, batch: list[VideoFeatures],
              know: KnowledgeInputs) -> _BatchForward:
-    """The one forward path: train, predict and the MIL windows all use it.
+    """The one forward path: train and predict both use it.
 
-    Segments are grouped by shape and each group takes one encoder_forward;
-    they are never padded, because padding changes the BLAS reduction
-    length and with it the low bits.  The head runs per segment.  A video's
-    logit is its single segment's, or the mean of the top-k under MIL.
+    Videos are grouped by segment shape and each group takes one
+    encoder_forward; they are never padded, because padding changes the
+    BLAS reduction length and with it the low bits.  The head runs per video.
     """
-    xs = [seg for feats in batch for seg in feats.segments]
     by_shape: dict[tuple[int, ...], list[int]] = {}
-    for s, (x, _) in enumerate(xs):
-        by_shape.setdefault(x.shape, []).append(s)
-    segments: list = [None] * len(xs)
+    for v, feats in enumerate(batch):
+        by_shape.setdefault(feats.x.shape, []).append(v)
+    segments: list = [None] * len(batch)
     groups = []
     for ids in by_shape.values():
-        mask = np.stack([xs[s][1] for s in ids])
-        h, caches = encoder_forward(np.stack([xs[s][0] for s in ids]), mask, params.encoder)
-        for row, s in enumerate(ids):
+        mask = np.stack([batch[v].mask for v in ids])
+        h, caches = encoder_forward(np.stack([batch[v].x for v in ids]), mask, params.encoder)
+        for row, v in enumerate(ids):
             logit, cache = _head_forward(params, h[row], mask[row], know)
-            segments[s] = _Segment(len(groups), row, logit, cache)
+            segments[v] = _Segment(len(groups), row, logit, cache)
         groups.append((mask, caches))
-
-    videos = []
-    top_k = params.config.mil_top_k
-    start = 0
-    for feats in batch:
-        ids = list(range(start, start + len(feats.segments)))
-        start += len(ids)
-        logits = np.array([segments[s].logit for s in ids])
-        if top_k is None or len(logits) == 1:
-            picked = [0]
-        else:
-            k = min(top_k, len(logits))
-            picked = sorted(np.argsort(-logits, kind="stable")[:k].tolist())
-        agg = float(np.mean([logits[i] for i in picked]))
-        videos.append((agg, [ids[i] for i in picked]))
-    return _BatchForward(videos=videos, segments=segments, groups=groups)
+    return _BatchForward(segments=segments, groups=groups)
 
 
 def _encoder_backward(params: ModelParams, fwd: _BatchForward,
-                      dhs: list[tuple[int, np.ndarray]], grads: dict[str, np.ndarray]) -> None:
-    """Backprop (segment id, dL/dh) pairs, in batch order, through the encoder.
+                      dhs: list[np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    """Backprop each video's dL/dh, in batch order, through the encoder.
 
-    Each run of consecutive segments from one group takes one
+    Each run of consecutive videos from one group takes one
     encoder_backward, which adds the gradients video by video, so the sums
     keep the batch order even when segment shapes interleave.  A run that
     covers only part of its group works on a copy of those rows' caches.
     """
     enc_grads = {name[len("encoder."):]: arr for name, arr in grads.items()
                  if name.startswith("encoder.layers.")}
-    for g, run in itertools.groupby(dhs, key=lambda item: fwd.segments[item[0]].group):
+    for g, run in itertools.groupby(zip(fwd.segments, dhs), key=lambda item: item[0].group):
         run = list(run)
-        rows = [fwd.segments[s].row for s, _ in run]
+        rows = [seg.row for seg, _ in run]
         mask, caches = fwd.groups[g]
         if len(rows) != mask.shape[0]:
             mask = mask[rows]
@@ -409,15 +373,13 @@ def batch_loss_and_grads(params: ModelParams, batch: list[VideoFeatures],
     n = len(batch)
     fwd = _forward(params, batch, know)
     dhs = []
-    for feats, (logit, selected) in zip(batch, fwd.videos):
-        t = feats.target
+    for feats, seg in zip(batch, fwd.segments):
+        logit, t = seg.logit, feats.target
         # Stable BCE: softplus(logit) - t * logit.
         loss = math.log1p(math.exp(-abs(logit))) + max(logit, 0.0) - t * logit
         total += loss / n
         dlogit = (_sigmoid(logit) - t) / n
-        share = dlogit / len(selected)
-        for s in selected:
-            dhs.append((s, _head_backward(share, params, know, fwd.segments[s].cache, grads)))
+        dhs.append(_head_backward(dlogit, params, know, seg.cache, grads))
     _encoder_backward(params, fwd, dhs, grads)
     for name, arr in params.tensors().items():
         if arr.ndim >= 2 and l2_weight > 0.0:
@@ -468,6 +430,22 @@ def _retain_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
+def _check_token_space(emb: EmbedderConfig, kb: KnowledgeBase) -> None:
+    """Descriptions must be embedded in the knowledge base's token space.
+
+    Slot attention compares description tokens with knowledge prototypes, so
+    both embedders need the same backend and dim, and the same hash seed or
+    remote endpoint.
+    """
+    for key in ("backend", "d", "seed" if emb.backend == "hash" else "endpoint"):
+        ours, theirs = getattr(emb, key), getattr(kb.embedder, key)
+        if ours != theirs:
+            raise ValidationError(
+                f"description embedder {key} {ours!r} does not match the knowledge "
+                f"embedder's {theirs!r} (slot attention runs in the shared token space)"
+            )
+
+
 def train(train_corpus: CaptionCorpus, kb: KnowledgeBase, cfg: TrainConfig,
           emb: EmbedderConfig, history: list[float] | None = None) -> ModelParams:
     """Weakly supervised training loop; returns the trained parameters.
@@ -478,21 +456,17 @@ def train(train_corpus: CaptionCorpus, kb: KnowledgeBase, cfg: TrainConfig,
     labels = {v.label for v in train_corpus.videos}
     if labels != {"normal", "abnormal"}:
         raise ValidationError("training corpus must contain both classes")
-    if emb.d != kb.embedder.d:
-        raise ValidationError(
-            f"description embedder dim {emb.d} must match knowledge embedder dim "
-            f"{kb.embedder.d} (slot attention runs in the shared token space)"
-        )
+    _check_token_space(emb, kb)
     model_cfg = ModelConfig(
         d_model=emb.d, num_layers=cfg.num_layers, num_heads=cfg.num_heads,
         d_ff=cfg.ff_multiple * emb.d, d_latent=cfg.d_latent,
         knowledge_dim=kb.embedder.d, k_frames=cfg.k_frames, seed=cfg.seed,
-        active_aspects=kb.aspects, mil_top_k=cfg.mil_top_k,
+        active_aspects=kb.aspects,
     )
     _retain_freed_heap()
     params = init_model_params(model_cfg)
     know = knowledge_inputs(kb)
-    dataset = videos_features(train_corpus.videos, emb, cfg.k_frames, cfg.mil_top_k)
+    dataset = videos_features(train_corpus.videos, emb, cfg.k_frames)
 
     rng = np.random.default_rng(cfg.seed)
     for epoch in range(cfg.epochs):
@@ -527,10 +501,10 @@ def predict_videos(videos, kb: KnowledgeBase, model: ModelParams, emb: EmbedderC
 
     The checks, the knowledge inputs and the embedder are set up once for
     all videos, and the forward runs over chunks of PREDICT_CHUNK videos.
-    H_d is the encoded sequence of a video's first (or only) selected
-    segment; P_d is the residual-augmented description projection actually
-    used for fusion.
+    H_d is the encoded sequence of a video's segment; P_d is the
+    residual-augmented description projection actually used for fusion.
     """
+    _check_token_space(emb, kb)
     if emb.d != model.config.d_model:
         raise ValidationError(
             f"description embedder dim {emb.d} does not match model d_model {model.config.d_model}"
@@ -547,14 +521,13 @@ def predict_videos(videos, kb: KnowledgeBase, model: ModelParams, emb: EmbedderC
         )
     k_frames = k_frames if k_frames is not None else model.config.k_frames
     know = knowledge_inputs(kb)
-    feats = videos_features(videos, emb, k_frames, model.config.mil_top_k)
+    feats = videos_features(videos, emb, k_frames)
     out = []
     for start in range(0, len(feats), PREDICT_CHUNK):
         fwd = _forward(model, feats[start:start + PREDICT_CHUNK], know)
-        for logit, selected in fwd.videos:
-            cache = fwd.segments[selected[0]].cache
-            h, mask, p_d = cache[0], cache[1], cache[9]
-            out.append((_sigmoid(logit), p_d, TokenEmbeddingSeq(vectors=h, mask=mask.copy())))
+        for seg in fwd.segments:
+            h, mask, p_d = seg.cache[0], seg.cache[1], seg.cache[9]
+            out.append((_sigmoid(seg.logit), p_d, TokenEmbeddingSeq(vectors=h, mask=mask.copy())))
     return out
 
 
@@ -601,9 +574,14 @@ def _header_config(raw) -> ModelConfig:
     """Check the header's config object against ModelConfig's fields and types."""
     if not isinstance(raw, dict):
         raise ModelFormatError("header has no config object")
+    raw = dict(raw)
+    if raw.pop("mil_top_k", None) is not None:  # null in files saved by earlier versions
+        raise ModelFormatError(
+            "header config selects top-k pooling over caption windows, which this "
+            "version no longer scores"
+        )
     names = {f.name for f in fields(ModelConfig)}
-    required = {f.name for f in fields(ModelConfig) if f.default is MISSING}
-    missing, unknown = sorted(required - set(raw)), sorted(set(raw) - names)
+    missing, unknown = sorted(names - set(raw)), sorted(set(raw) - names)
     if missing or unknown:
         raise ModelFormatError(
             f"header config has missing keys {missing} and unknown keys {unknown}"
@@ -613,11 +591,6 @@ def _header_config(raw) -> ModelConfig:
             raise ModelFormatError(
                 f"header config {name} must be an integer >= {minimum}, got {raw[name]!r}"
             )
-    top_k = raw.get("mil_top_k")
-    if top_k is not None and not (_is_int(top_k) and top_k >= 1):
-        raise ModelFormatError(
-            f"header config mil_top_k must be null or an integer >= 1, got {top_k!r}"
-        )
     aspects = raw["active_aspects"]
     if not (isinstance(aspects, list) and all(isinstance(a, str) for a in aspects)):
         raise ModelFormatError("header config active_aspects must be a list of strings")

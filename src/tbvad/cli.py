@@ -73,7 +73,7 @@ CONFIG_SCHEMA = {
     "encoder": {"num_layers": int, "num_heads": int, "d_latent": int, "ff_multiple": int},
     "train": {
         "learning_rate": float, "epochs": int, "batch_size": int,
-        "l2_weight": float, "freeze_importance_net": bool, "mil_top_k": int,
+        "l2_weight": float, "freeze_importance_net": bool,
     },
     "endpoints": {"embed": str, "generate": str},
     "prompts": {aspect: str for aspect in ASPECTS},
@@ -180,7 +180,6 @@ def _train_config(cfg: dict) -> TrainConfig:
         freeze_importance_net=tr.get("freeze_importance_net", False),
         k_frames=cfg["k_frames"], num_layers=enc["num_layers"], num_heads=enc["num_heads"],
         d_latent=enc["d_latent"], ff_multiple=enc["ff_multiple"],
-        mil_top_k=tr.get("mil_top_k"),
     )
 
 
@@ -343,7 +342,7 @@ def cmd_build_knowledge(args) -> int:
                          backend=_summarizer(cfg, args),
                          active_aspects=cfg["aspects"])
     out_path = Path(args.out)
-    with _output_lock(out_path.parent if out_path.parent != Path("") else Path(".")):
+    with _output_lock(out_path.parent):
         save_knowledge(kb, out_path)
         _append_run_log(out_path.parent, "build-knowledge", cfg,
                         {"captions": _file_digest(args.captions)}, [str(out_path)])
@@ -353,9 +352,9 @@ def cmd_build_knowledge(args) -> int:
 
 
 def _load_kb(args, cfg: dict):
-    embed_endpoint = cfg.get("endpoints", {}).get("embed")
-    return load_knowledge(args.knowledge, endpoint=embed_endpoint, cache_dir=_cache_dir(cfg),
-                          max_tokens=cfg["embedder"].get("knowledge_max_tokens", 4096))
+    _, know = _embedder_configs(cfg)
+    return load_knowledge(args.knowledge, endpoint=know.endpoint, cache_dir=know.cache_dir,
+                          max_tokens=know.max_tokens, max_parallel=know.max_parallel)
 
 
 def cmd_train(args) -> int:
@@ -364,13 +363,9 @@ def cmd_train(args) -> int:
     corpus = load_captions(args.captions)
     kb = _load_kb(args, cfg)
     desc_emb, _ = _embedder_configs(cfg)
-    if desc_emb.d != kb.embedder.d:
-        raise ValidationError(
-            f"config embedder d={desc_emb.d} does not match knowledge file dim {kb.embedder.d}"
-        )
     model = train(corpus, kb, _train_config(cfg), desc_emb)
     out_path = Path(args.out)
-    with _output_lock(out_path.parent if str(out_path.parent) else Path(".")):
+    with _output_lock(out_path.parent):
         save_model(model, out_path)
         _append_run_log(out_path.parent, "train", cfg,
                         {"captions": _file_digest(args.captions),
@@ -463,7 +458,7 @@ def cmd_ablate(args) -> int:
     pipeline = _pipeline_config(cfg, summarizer=_summarizer(cfg, args), prompts=_prompts(cfg))
     rows = ablate_slots(train_corpus, test_corpus, combos, pipeline)
     out_path = Path(args.out)
-    with _output_lock(out_path.parent if str(out_path.parent) else Path(".")):
+    with _output_lock(out_path.parent):
         out_path.write_text(ablation_csv(rows), encoding="utf-8")
         _append_run_log(out_path.parent, "ablate", cfg,
                         {"captions": _file_digest(args.captions),

@@ -4,8 +4,9 @@ Two interchangeable backends produce per-token embedding sequences:
 
 * ``hash`` — fully offline feature hashing.  Each lowercase token is hashed
   (seeded, via blake2b, independent of PYTHONHASHSEED) into one of ``d``
-  signed buckets and L2-normalized, so equal tokens always map to equal
-  vectors and the whole embedder is a pure function of (text, d, seed).
+  signed buckets (a unit vector with one ±1 entry), so equal tokens always
+  map to equal vectors and the whole embedder is a pure function of (text,
+  d, seed).
 * ``remote`` — a client for an HTTP embedding service standing in for a
   frozen pretrained encoder.  Token strings are sent as texts in batches of
   at most 64, fetched with bounded parallelism, and cached on disk, one pack
@@ -147,9 +148,6 @@ class HashEmbedder(_TokenEmbedder):
         vec = self._token_cache.get(token)
         if vec is None:
             vec = _hash_token_vector(token, self.cfg.d, self.cfg.seed)
-            norm = np.linalg.norm(vec)
-            if norm > 0:
-                vec = vec / norm
             self._token_cache[token] = vec
         return vec
 

@@ -280,14 +280,9 @@ def frame_level_scores(corpus: CaptionCorpus, scores: list[float]):
 
 
 def evaluate_model(test_corpus: CaptionCorpus, kb, model, emb: EmbedderConfig,
-                   threshold: float = 0.5, level: str = "video",
-                   digest: str = "") -> MetricsReport:
+                   threshold: float = 0.5, digest: str = "") -> MetricsReport:
     """Score a corpus and report AUC/AP/ACC (AUC and AP need both classes)."""
-    if level not in ("video", "frame"):
-        raise ValidationError(f"unknown evaluation level {level!r}")
     scores, labels = score_corpus(test_corpus, kb, model, emb)
-    if level == "frame":
-        scores, labels = frame_level_scores(test_corpus, scores)
     n_pos = sum(labels)
     n_neg = len(labels) - n_pos
     return MetricsReport(

@@ -399,13 +399,13 @@ def save_knowledge(kb: KnowledgeBase, path: str | Path) -> None:
     Path(path).write_text(kb.to_json() + "\n", encoding="utf-8")
 
 
-def load_knowledge(path: str | Path, endpoint: str | None = None,
-                   cache_dir: str | None = None, max_tokens: int = 4096) -> KnowledgeBase:
+def load_knowledge(path: str | Path, endpoint: str | None = None, cache_dir: str | None = None,
+                   max_tokens: int = 4096, max_parallel: int = 4) -> KnowledgeBase:
     """Load a knowledge JSON file, recomputing prototypes and sentence embeddings.
 
     Embeddings are never serialized; the stored (backend, dim, seed) triple
-    plus the caller-supplied endpoint/cache settings reconstruct them.  A
-    file that does not match the schema raises ValidationError.
+    plus the caller-supplied endpoint, cache and fetch settings reconstruct
+    them.  A file that does not match the schema raises ValidationError.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -425,8 +425,8 @@ def load_knowledge(path: str | Path, endpoint: str | None = None,
             f"and integer dim and seed, got {emb!r}"
         )
     cfg = EmbedderConfig(
-        backend=emb["backend"], d=emb["dim"], seed=emb["seed"],
-        max_tokens=max_tokens, endpoint=endpoint, cache_dir=cache_dir,
+        backend=emb["backend"], d=emb["dim"], seed=emb["seed"], max_tokens=max_tokens,
+        endpoint=endpoint, cache_dir=cache_dir, max_parallel=max_parallel,
     )
     if not (isinstance(raw["aspects"], list) and all(isinstance(a, str) for a in raw["aspects"])):
         raise ValidationError(f"knowledge file {path}: aspects must be a list of strings")

@@ -226,16 +226,8 @@ def segment_backward(dlogit, params, x, mask, know, cache, grads):
 
 
 def video_logit(params, feats, know):
-    seg_results = [segment_forward(params, x, mask, know) for x, mask in feats.segments]
-    logits = np.array([r[0] for r in seg_results])
-    top_k = params.config.mil_top_k
-    if top_k is None or len(logits) == 1:
-        selected = list(range(len(logits)))[:1]
-    else:
-        k = min(top_k, len(logits))
-        selected = sorted(np.argsort(-logits, kind="stable")[:k].tolist())
-    agg = float(np.mean([logits[i] for i in selected]))
-    return agg, selected, seg_results
+    """A video's logit and the forward cache of its one segment."""
+    return segment_forward(params, feats.x, feats.mask, know)
 
 
 def batch_loss_and_grads(params, batch, know, l2_weight):
@@ -244,15 +236,12 @@ def batch_loss_and_grads(params, batch, know, l2_weight):
     total = 0.0
     n = len(batch)
     for feats in batch:
-        logit, selected, seg_results = video_logit(params, feats, know)
+        logit, cache = video_logit(params, feats, know)
         t = feats.target
         loss = math.log1p(math.exp(-abs(logit))) + max(logit, 0.0) - t * logit
         total += loss / n
         dlogit = (_sigmoid(logit) - t) / n
-        share = dlogit / len(selected)
-        for i in selected:
-            x, mask = feats.segments[i]
-            segment_backward(share, params, x, mask, know, seg_results[i][1], grads)
+        segment_backward(dlogit, params, feats.x, feats.mask, know, cache, grads)
     for name, arr in params.tensors().items():
         if arr.ndim >= 2 and l2_weight > 0.0:
             total += l2_weight * float((arr ** 2).sum())

@@ -105,8 +105,8 @@ class TestCriterion2GradientCorrectness:
         batch = []
         for target in (1.0, 0.0):
             x = rng.normal(size=(4, 8))
-            batch.append(VideoFeatures(video_id=str(target), target=target,
-                                       segments=[(x, np.ones(4, dtype=bool))]))
+            batch.append(VideoFeatures(video_id=str(target), target=target, x=x,
+                                       mask=np.ones(4, dtype=bool)))
         l2 = 1e-3
         _, analytic = batch_loss_and_grads(params, batch, know, l2)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import resource
@@ -32,7 +33,7 @@ from tbvad.classifier import (
     train,
     video_features,
 )
-from tbvad.corpus import CaptionCorpus, sample_evenly
+from tbvad.corpus import CaptionCorpus, group_by_class, sample_evenly
 from tbvad.embedding import EmbedderConfig, TokenEmbeddingSeq, tokenize
 from tbvad.errors import ModelFormatError, TbvadError, ValidationError
 from tbvad.evaluation import score_corpus
@@ -150,8 +151,8 @@ class TestFuseClassify:
     def test_dimension_mismatch_rejected(self):
         params = self.params_with(3, np.zeros(6), np.zeros(1))
         know = KnowledgeInputs(mean_embedding=np.zeros(3), prototypes=np.zeros((4, 3)))
-        feats = VideoFeatures(video_id="v", target=1.0,
-                              segments=[(np.ones((2, 2)), np.ones(2, dtype=bool))])
+        feats = VideoFeatures(video_id="v", target=1.0, x=np.ones((2, 2)),
+                              mask=np.ones(2, dtype=bool))
         with pytest.raises(ValidationError, match="d_model"):
             batch_loss_and_grads(params, [feats], know, l2_weight=0.0)
 
@@ -185,10 +186,10 @@ class TestTraining:
             d_model=EMB.d, num_layers=cfg.num_layers, num_heads=cfg.num_heads,
             d_ff=cfg.ff_multiple * EMB.d, d_latent=cfg.d_latent,
             knowledge_dim=KEMB.d, k_frames=cfg.k_frames, seed=cfg.seed,
-            active_aspects=tiny_kb.aspects, mil_top_k=None,
+            active_aspects=tiny_kb.aspects,
         )
         init = init_model_params(model_cfg)
-        feats = video_features(corpus.videos[0], EMB, cfg.k_frames, None)
+        feats = video_features(corpus.videos[0], EMB, cfg.k_frames)
         _, grads = batch_loss_and_grads(init, [feats], know, cfg.l2_weight)
         expected_fuse_w = (init.fuse_w - cfg.learning_rate * grads["fuse_w"]).astype(np.float32)
 
@@ -209,9 +210,8 @@ class TestTraining:
         params.encoder.b_d = np.zeros(16)
         params.gate[:] = 0.0
         video = tiny_corpus().videos[0]
-        feats = video_features(video, EMB, 4, None)
-        x, mask = feats.segments[0]
-        p_d = x.mean(axis=0)
+        feats = video_features(video, EMB, 4)
+        p_d = feats.x.mean(axis=0)
         p_v = params.w_v @ know.mean_embedding + params.b_v
         logit = float(params.fuse_w @ np.concatenate([p_d, p_v]) + params.fuse_b[0])
         y = 1.0 / (1.0 + math.exp(-logit))
@@ -253,15 +253,6 @@ class TestTraining:
         assert y_a > 0.5
         assert y_n < 0.5
 
-    def test_mil_variant_trains_and_predicts(self, tiny_kb):
-        cfg = quick_cfg(epochs=2, mil_top_k=2, k_frames=3)
-        model = train(tiny_corpus(), tiny_kb, cfg, EMB)
-        assert model.config.mil_top_k == 2
-        video = tiny_corpus().videos[0]
-        y1, _, _ = predict_video(video, tiny_kb, model, EMB)
-        y2, _, _ = predict_video(video, tiny_kb, model, EMB)
-        assert y1 == y2
-
     def test_predict_deterministic(self, tiny_kb):
         model = train(tiny_corpus(), tiny_kb, quick_cfg(epochs=2), EMB)
         video = tiny_corpus().videos[3]
@@ -288,7 +279,7 @@ class TestTraining:
         know = KnowledgeInputs(mean_embedding=rng.normal(size=64),
                                prototypes=rng.normal(size=(len(tiny_kb.aspects), 64)))
         batch = [VideoFeatures(video_id=f"v{i}", target=float(i % 2),
-                               segments=[(rng.normal(size=(8, 64)), np.ones(8, dtype=bool))])
+                               x=rng.normal(size=(8, 64)), mask=np.ones(8, dtype=bool))
                  for i in range(16)]
         batch_loss_and_grads(params, batch, know, 1e-3)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -386,6 +377,23 @@ class TestMalformedHeaders:
         with pytest.raises(ModelFormatError, match="num_heads"):
             self.load_with(tmp_path, raw, header)
 
+    def test_legacy_null_mil_top_k_loads_unchanged(self, raw, tmp_path):
+        # Files saved while the caption-window variant existed hold "mil_top_k": null.
+        header = model_header(raw)
+        assert "mil_top_k" not in header["config"]
+        current = self.load_with(tmp_path, raw, header)
+        header["config"]["mil_top_k"] = None
+        legacy = self.load_with(tmp_path, raw, header)
+        assert legacy.config == current.config
+        for name, arr in current.tensors().items():
+            assert np.array_equal(legacy.tensors()[name], arr), name
+
+    def test_window_model_rejected(self, raw, tmp_path):
+        header = model_header(raw)
+        header["config"]["mil_top_k"] = 2
+        with pytest.raises(ModelFormatError, match="top-k pooling over caption windows"):
+            self.load_with(tmp_path, raw, header)
+
 
 def tensor_offset(raw: bytes, name: str) -> int:
     """Byte offset of a tensor block in a serialized model."""
@@ -450,29 +458,21 @@ class TestBatchedStepOracle:
 
     def test_mixed_segment_lengths(self, tiny_kb):
         params = self.params_for(tiny_kb)
-        batch = [video_features(v, EMB, 4, None) for v in self.varied_videos([4, 2, 5, 3, 2, 6, 4])]
-        assert len({f.segments[0][0].shape[0] for f in batch}) == 3
+        batch = [video_features(v, EMB, 4) for v in self.varied_videos([4, 2, 5, 3, 2, 6, 4])]
+        assert len({f.x.shape[0] for f in batch}) == 3
         self.assert_matches_reference(params, batch, knowledge_inputs(tiny_kb))
 
     def test_partially_masked_segment(self, tiny_kb):
         params = self.params_for(tiny_kb)
-        batch = [video_features(v, EMB, 4, None) for v in self.varied_videos([4, 4, 4, 4])]
+        batch = [video_features(v, EMB, 4) for v in self.varied_videos([4, 4, 4, 4])]
         for feats, masked in zip(batch[1:3], ([1, 2], [0])):
-            x, mask = feats.segments[0]
-            mask[masked] = False
-            x[~mask] = 0.0
-        self.assert_matches_reference(params, batch, knowledge_inputs(tiny_kb))
-
-    def test_mil_top_k(self, tiny_kb):
-        params = self.params_for(tiny_kb, k_frames=3, mil_top_k=2)
-        videos = self.varied_videos([7, 2, 8, 5, 3, 8])
-        batch = [video_features(v, EMB, 3, 2) for v in videos]
-        assert max(len(f.segments) for f in batch) > 3
+            feats.mask[masked] = False
+            feats.x[~feats.mask] = 0.0
         self.assert_matches_reference(params, batch, knowledge_inputs(tiny_kb))
 
     def test_zero_layers(self, tiny_kb):
         params = self.params_for(tiny_kb, num_layers=0)
-        batch = [video_features(v, EMB, 4, None) for v in self.varied_videos([4, 2, 4, 3])]
+        batch = [video_features(v, EMB, 4) for v in self.varied_videos([4, 2, 4, 3])]
         self.assert_matches_reference(params, batch, knowledge_inputs(tiny_kb))
 
 
@@ -481,11 +481,10 @@ class TestHeadMatchesExplainPath:
 
     def test_importance_weights_equal_slot_importance(self, tiny_kb):
         params = TestBatchedStepOracle.params_for(tiny_kb)
-        batch = [video_features(v, EMB, 4, None)
+        batch = [video_features(v, EMB, 4)
                  for v in TestBatchedStepOracle.varied_videos([4, 2, 4, 3])]
-        x, mask = batch[2].segments[0]
-        mask[1] = False
-        x[1] = 0.0
+        batch[2].mask[1] = False
+        batch[2].x[1] = 0.0
         fwd = _forward(params, batch, knowledge_inputs(tiny_kb))
         protos = class_agnostic_prototypes(tiny_kb)
         for segment in fwd.segments:
@@ -513,12 +512,11 @@ class TestBatchedScoringOracle:
             videos.append(make_video(f"v{i}", "abnormal" if i % 2 else "normal", caps))
         return CaptionCorpus(videos=tuple(videos), source_tag="oracle")
 
-    @pytest.mark.parametrize("mil_top_k", [None, 2])
-    def test_score_corpus_equals_per_video(self, tiny_kb, mil_top_k):
-        params = TestBatchedStepOracle.params_for(tiny_kb, mil_top_k=mil_top_k)
+    def test_score_corpus_equals_per_video(self, tiny_kb):
+        params = TestBatchedStepOracle.params_for(tiny_kb)
         corpus = self.corpus()
-        feats = [video_features(v, EMB, 4, mil_top_k) for v in corpus.videos]
-        assert {x.shape[0] for f in feats for x, _ in f.segments} == {3, 4}
+        feats = [video_features(v, EMB, 4) for v in corpus.videos]
+        assert {f.x.shape[0] for f in feats} == {3, 4}
         scores, labels = score_corpus(corpus, tiny_kb, params, EMB)
         assert labels == [i % 2 for i in range(40)]
         per_video = [predict_video(v, tiny_kb, params, EMB)[0] for v in corpus.videos]
@@ -538,23 +536,27 @@ class TestBatchedScoringOracle:
             assert np.array_equal(h_d.vectors, h_d1.vectors) and np.array_equal(h_d.mask, h_d1.mask)
             assert h_d.t == min(5, len(video.captions))
 
-    def test_cold_remote_score_fetches_distinct_tokens_once(self, tiny_kb, tmp_path):
-        params = TestBatchedStepOracle.params_for(tiny_kb)
+    def test_cold_remote_score_fetches_distinct_tokens_once(self, tmp_path):
         corpus = self.corpus(marker=True)
-        distinct = {t for v in corpus.videos for c in sample_evenly(v, params.config.k_frames)
-                    for t in tokenize(c.text)}
-        assert len(distinct) > 128
         with StubService() as svc:
             emb = EmbedderConfig(backend="remote", d=EMB.d, endpoint=svc.endpoint,
                                  cache_dir=str(tmp_path / "cache"), seed=0)
-            cold, _ = score_corpus(corpus, tiny_kb, params, emb)
-            assert svc.request_count == -(-len(distinct) // 64)
+            # The knowledge has its own cache, so every description token starts cold.
+            kb_emb = dataclasses.replace(emb, max_tokens=4096, cache_dir=str(tmp_path / "kb"))
+            kb = build_knowledge(*group_by_class(tiny_corpus()), default_prompts(), kb_emb)
+            params = TestBatchedStepOracle.params_for(kb)
+            distinct = {t for v in corpus.videos for c in sample_evenly(v, params.config.k_frames)
+                        for t in tokenize(c.text)}
+            assert len(distinct) > 128
+            built = svc.request_count
+            cold, _ = score_corpus(corpus, kb, params, emb)
+            assert svc.request_count - built == -(-len(distinct) // 64)
             assert all(r["path"] == "/embed" for r in svc.requests)
             # The fetched vectors go to disk as one pack file.
             packs = list((tmp_path / "cache" / "embed").iterdir())
             assert len(packs) == 1
-            warm, _ = score_corpus(corpus, tiny_kb, params, emb)
-            assert svc.request_count == -(-len(distinct) // 64)
+            warm, _ = score_corpus(corpus, kb, params, emb)
+            assert svc.request_count - built == -(-len(distinct) // 64)
             assert list((tmp_path / "cache" / "embed").iterdir()) == packs
         assert np.array_equal(cold, warm)
 
@@ -578,8 +580,7 @@ class TestFullGradientCheck:
         for target, t in ((1.0, 4), (1.0, 3), (0.0, 4)):
             x = rng.normal(size=(t, 8))
             mask = np.ones(t, dtype=bool)
-            batch.append(VideoFeatures(video_id=f"v{len(batch)}", target=target,
-                                       segments=[(x, mask)]))
+            batch.append(VideoFeatures(video_id=f"v{len(batch)}", target=target, x=x, mask=mask))
 
         l2 = 1e-3
         _, analytic = batch_loss_and_grads(params, batch, know, l2)

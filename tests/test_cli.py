@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tbvad.cli import main
+from tbvad.cli import _load_kb, main, resolve_config
 from tbvad.corpus import save_captions
 from tbvad.synthetic import SyntheticConfig, generate_corpus
 
@@ -111,6 +112,14 @@ class TestValidation:
                                "--captions", "whatever.jsonl")
         assert code == 1
         assert "not_a_key" in err
+
+    def test_removed_mil_top_k_key_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"train": {"mil_top_k": 2}}', encoding="utf-8")
+        code, _, err = run_cli(capsys, "caption-stats", "--config", str(bad),
+                               "--captions", "whatever.jsonl")
+        assert code == 1
+        assert "unknown config key 'train.mil_top_k'" in err
 
     def test_unknown_nested_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -220,6 +229,38 @@ class TestEvalExplain:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("runtime error:") and "config" in proc.stderr
+
+    def test_eval_window_model_exits_2(self, workspace):
+        raw = workspace["model"].read_bytes()
+        header_end = 12 + int.from_bytes(raw[4:12], "little")
+        header = json.loads(raw[12:header_end])
+        header["config"]["mil_top_k"] = 2
+        blob = json.dumps(header).encode("utf-8")
+        bad = workspace["tmp"] / "window_model.tbvm"
+        bad.write_bytes(raw[:4] + len(blob).to_bytes(8, "little") + blob + raw[header_end:])
+        proc = run_tbvad("eval", "--config", workspace["cfg"],
+                         "--captions", str(workspace["data"] / "test.jsonl"),
+                         "--knowledge", str(workspace["kb"]), "--model", str(bad),
+                         cwd=workspace["tmp"])
+        assert proc.returncode == 2, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("runtime error:") and "caption windows" in line
+
+    def test_eval_with_another_hash_seed_exits_1(self, workspace, capsys):
+        # The workspace knowledge was embedded with hash seed 5.
+        code, out, err = run_cli(capsys, "eval", "--config", workspace["cfg"], "--seed", "6",
+                                 "--captions", str(workspace["data"] / "test.jsonl"),
+                                 "--knowledge", str(workspace["kb"]),
+                                 "--model", str(workspace["model"]))
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error:") and "seed 6 does not match" in line and "'s 5 " in line
+
+    def test_knowledge_load_uses_configured_max_parallel(self, workspace, tmp_path):
+        cfg = cli_config(tmp_path, embedder={"backend": "hash", "d": 32, "max_tokens": 512,
+                                             "max_parallel": 3})
+        args = argparse.Namespace(config=cfg, knowledge=str(workspace["kb"]))
+        assert _load_kb(args, resolve_config(args)).embedder.max_parallel == 3
 
     def test_eval_non_finite_model_exits_2(self, workspace):
         raw = bytearray(workspace["model"].read_bytes())

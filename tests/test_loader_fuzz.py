@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -66,7 +67,17 @@ def _knowledge_file() -> bytes:
 
 MODEL = serialize_model(init_model_params(ModelConfig(
     d_model=8, num_layers=1, num_heads=2, d_ff=9, d_latent=4, knowledge_dim=8,
-    k_frames=3, seed=1, active_aspects=("object", "environment"), mil_top_k=2)))
+    k_frames=3, seed=1, active_aspects=("object", "environment"))))
+
+
+def _legacy_model(raw: bytes) -> bytes:
+    """``raw`` with the ``"mil_top_k": null`` header key that earlier versions wrote."""
+    (header_len,) = struct.unpack_from("<Q", raw, 4)
+    header = json.loads(raw[12:12 + header_len])
+    header["config"]["mil_top_k"] = None
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return raw[:4] + struct.pack("<Q", len(header_bytes)) + header_bytes + raw[12 + header_len:]
+
 
 CONFIG = json.dumps({
     "seed": 5, "k_frames": 6, "aspects": ["object", "action"],
@@ -78,6 +89,7 @@ LOADERS = {
     "captions": (CAPTIONS, load_captions),
     "knowledge": (_knowledge_file(), load_knowledge),
     "model": (MODEL, load_model),
+    "legacy-model": (_legacy_model(MODEL), load_model),
     "config": (CONFIG, lambda path: resolve_config(argparse.Namespace(config=str(path)))),
     "combos": (b'[["object"], ["context", "environment"]]', lambda path: _load_combos(str(path))),
 }
