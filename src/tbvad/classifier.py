@@ -263,28 +263,31 @@ class VideoFeatures:
     mask: np.ndarray
 
 
-def _frame_vectors(embedder, texts: list[str]) -> list[np.ndarray]:
-    """Mean-pool each caption's token embeddings, L2-normalized.
+def _frame_vectors(embedder, texts: list[str]) -> np.ndarray:
+    """Mean-pool each caption's token embeddings, L2-normalized: one (n, d) row each.
 
     Mean-pooled hash embeddings shrink with caption length (~1/sqrt(tokens));
     unit-normalizing each frame vector removes that artifact and keeps the
     content comparable to the fixed positional encodings.
     """
-    out = []
-    for pooled in embedder.embed_captions(texts):
-        norm = np.linalg.norm(pooled)
-        out.append(pooled / norm if norm > 0 else pooled)
-    return out
+    pooled = embedder.embed_captions(texts)
+    for row in pooled:
+        norm = np.linalg.norm(row)
+        if norm > 0:
+            row /= norm
+    return pooled
 
 
 def videos_features(videos, emb_cfg: EmbedderConfig, k_frames: int) -> list[VideoFeatures]:
     """Each video's evenly sampled segment, from one embedder and one embed_captions call."""
     emb = make_embedder(emb_cfg)
     picked = [sample_evenly(v, k_frames) for v in videos]
-    vectors = iter(_frame_vectors(emb, [c.text for caps in picked for c in caps]))
+    vectors = _frame_vectors(emb, [c.text for caps in picked for c in caps])
     out = []
+    start = 0
     for video, caps in zip(videos, picked):
-        x = np.stack([next(vectors) for _ in caps])
+        x = vectors[start:start + len(caps)]
+        start += len(caps)
         target = 1.0 if video.label == "abnormal" else 0.0
         out.append(VideoFeatures(video_id=video.video_id, target=target, x=x,
                                  mask=np.ones(len(caps), dtype=bool)))

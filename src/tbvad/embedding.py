@@ -14,8 +14,11 @@ Two interchangeable backends produce per-token embedding sequences:
   requests.
 
 Both keep every token vector they produce in memory for the life of the
-embedder, and ``embed_captions`` looks up the distinct tokens of many texts
-in one call.
+embedder.  ``embed_captions`` pools many texts in one pass: it tokenizes
+each text once into integer ids, looks the distinct tokens up in one call,
+and sums the rows of all texts of equal token count together, position by
+position, in ``mean_pool``'s order, so its (n, d) result equals the
+per-text ``mean_pool(embed_tokens(text))`` bit for bit.
 
 All vectors are float32-valued (stored in float64 arrays) so cache hits and
 misses return bit-identical data.
@@ -26,6 +29,8 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
+from array import array
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -135,10 +140,42 @@ class _TokenEmbedder:
         vectors = np.stack(self._lookup(tokens))
         return TokenEmbeddingSeq(vectors=vectors, mask=np.ones(len(tokens), dtype=bool))
 
-    def embed_captions(self, texts: list[str]) -> list[np.ndarray]:
-        """Mean-pooled embedding of each text, with every distinct token looked up in one call."""
-        self._lookup(list(dict.fromkeys(t for text in texts for t in self._tokens(text))))
-        return [mean_pool(self.embed_tokens(text)) for text in texts]
+    def embed_captions(self, texts: list[str]) -> np.ndarray:
+        """Mean-pooled embedding of each text as one (n, d) array, in one pass.
+
+        Each text is tokenized once into integer ids over the call's distinct
+        tokens, which one ``_lookup`` call turns into a (V, d) table.  The
+        texts of equal token count are pooled together, one token position
+        at a time, in ``mean_pool``'s summation order, so row ``i`` equals
+        ``mean_pool(embed_tokens(texts[i]))`` bit for bit and no (n, T, d)
+        gather is ever built.
+        """
+        if not texts:
+            return np.empty((0, self.cfg.d))
+        index: defaultdict[str, int] = defaultdict()
+        index.default_factory = index.__len__  # a new token gets the next id
+        ids = array("i")
+        starts = np.empty(len(texts), dtype=np.intp)
+        rows_by_count: defaultdict[int, list[int]] = defaultdict(list)
+        for i, text in enumerate(texts):
+            tokens = self._tokens(text)
+            starts[i] = len(ids)
+            rows_by_count[len(tokens)].append(i)
+            ids.extend(map(index.__getitem__, tokens))
+        table = np.stack(self._lookup(list(index)))
+        if not np.all(np.isfinite(table)):
+            raise ValidationError("embedding matrix contains non-finite values")
+        flat = np.frombuffer(ids, dtype=np.intc)
+        out = np.empty((len(texts), table.shape[1]))
+        for count, rows in rows_by_count.items():
+            col = starts[rows]  # where each text's current token id sits in flat
+            acc = table[flat[col]]
+            for _ in range(1, count):
+                col += 1
+                acc += table[flat[col]]
+            acc /= count
+            out[rows] = acc
+        return out
 
 
 class HashEmbedder(_TokenEmbedder):

@@ -339,16 +339,15 @@ class KnowledgeBase:
         texts = [self.slots[key].text for key in keys]
         texts += [s for sents in sentences for s in sents]
         texts += [self.joined_text(v) for v in CLASSES]
-        pooled = iter(make_embedder(self.embedder).embed_captions(texts))
+        pooled = make_embedder(self.embedder).embed_captions(texts)
+        start = 0
         for v in CLASSES:
-            self.prototypes[v] = np.stack([next(pooled) for _ in self.aspects])
+            self.prototypes[v] = pooled[start:start + len(self.aspects)]
+            start += len(self.aspects)
         for key, sents in zip(keys, sentences):
-            if sents:
-                self.sentence_embeddings[key] = np.stack([next(pooled) for _ in sents])
-            else:
-                self.sentence_embeddings[key] = np.zeros((0, self.embedder.d))
-        joined = [next(pooled) for _ in CLASSES]
-        self.mean_embedding = 0.5 * (joined[0] + joined[1])
+            self.sentence_embeddings[key] = pooled[start:start + len(sents)]
+            start += len(sents)
+        self.mean_embedding = 0.5 * (pooled[start] + pooled[start + 1])
 
     def joined_text(self, class_v: str) -> str:
         """Active slot texts concatenated in canonical order, newline-joined."""

@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import numpy as np
+
+
+def float32_vector(text: str, dim: int, decades: int = 0) -> list[float]:
+    """A seeded normal vector per text, float32-valued, for ``embed_fn``.
+
+    Each entry is scaled by 10**k for a seeded k in [-decades, decades].
+    """
+    seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=dim) * 10.0 ** rng.integers(-decades, decades + 1, size=dim)
+    return vec.astype(np.float32).tolist()
 
 
 class StubService:

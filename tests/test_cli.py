@@ -15,6 +15,8 @@ from tbvad.cli import _load_kb, main, resolve_config
 from tbvad.corpus import save_captions
 from tbvad.synthetic import SyntheticConfig, generate_corpus
 
+from stubs import StubService, float32_vector
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -288,6 +290,30 @@ class TestEvalExplain:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:") and "('a', 'object')" in proc.stderr
+
+    def test_eval_non_finite_embedding_exits_1(self, tmp_path):
+        def embed(text, dim):
+            return [float("nan")] * dim if text == "glitch" else float32_vector(text, dim)
+
+        with StubService(embed_fn=embed) as svc:
+            cfg = cli_config(tmp_path, endpoints={"embed": svc.endpoint},
+                             embedder={"backend": "remote", "d": 16, "max_tokens": 512,
+                                       "cache_dir": str(tmp_path / "cache")})
+            data, kb, model = tmp_path / "data", tmp_path / "kb.json", tmp_path / "model.tbvm"
+            assert main(["gen-synth", "--config", cfg, "--out", str(data)]) == 0
+            assert main(["build-knowledge", "--config", cfg, "--captions", str(data / "train.jsonl"),
+                         "--out", str(kb), "--extractive"]) == 0
+            assert main(["train", "--config", cfg, "--captions", str(data / "train.jsonl"),
+                         "--knowledge", str(kb), "--out", str(model)]) == 0
+            rows = [json.loads(line) for line in (data / "test.jsonl").read_text(encoding="utf-8").splitlines()]
+            glitched = tmp_path / "glitched.jsonl"
+            glitched.write_text("".join(json.dumps(dict(r, text=r["text"] + " glitch")) + "\n"
+                                        for r in rows), encoding="utf-8")
+            proc = run_tbvad("eval", "--config", cfg, "--captions", str(glitched),
+                             "--knowledge", str(kb), "--model", str(model), cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line == "error: embedding matrix contains non-finite values"
 
     def test_caption_stats(self, workspace, capsys):
         code, out, _ = run_cli(capsys, "caption-stats",

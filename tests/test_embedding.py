@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from tbvad.classifier import videos_features
+from tbvad.corpus import sample_evenly
 from tbvad.embedding import (
     EmbedderConfig,
     HashEmbedder,
@@ -19,9 +22,29 @@ from tbvad.embedding import (
 from tbvad.errors import RemoteServiceError, ValidationError
 from tbvad.remote import VectorCache
 
-from stubs import StubService
+from conftest import make_video
+from stubs import StubService, float32_vector
 
 HASH64 = EmbedderConfig(backend="hash", d=64, max_tokens=512, seed=7)
+
+
+def wide_vector(text: str, dim: int) -> list[float]:
+    """Entries spread over 24 decades: sums round, so a change of summation order shows."""
+    return float32_vector(text, dim, decades=12)
+
+
+# A small vocabulary makes repeated tokens within and across texts common.
+WORDS = st.sampled_from(["a", "man", "runs", "the", "bat", "crowd", "x1", "street", "Car"])
+TEXTS = st.lists(st.lists(WORDS, min_size=1, max_size=20).map(" ".join), min_size=1, max_size=12)
+# 1 token, repeated tokens, and truncation at max_tokens, all in one batch.
+EDGE_TEXTS = ["bat", "man man man man", " ".join(["a", "crowd", "runs"] * 6), "the the"]
+
+
+def assert_rows_pool_each_text(pooled: np.ndarray, texts: list[str], reference) -> None:
+    """Row i of one embed_captions call equals mean_pool(embed_tokens(texts[i])) byte for byte."""
+    assert pooled.shape == (len(texts), reference.cfg.d)
+    for text, row in zip(texts, pooled):
+        assert row.tobytes() == mean_pool(reference.embed_tokens(text)).tobytes()
 
 
 class TestHashEmbedder:
@@ -70,6 +93,80 @@ class TestHashEmbedder:
         a = embed_tokens(text, HASH64)
         b = embed_tokens(text, HASH64)
         assert np.array_equal(a.vectors, b.vectors)
+
+
+class TestEmbedCaptions:
+    @given(texts=TEXTS, d=st.sampled_from([1, 3, 16]), max_tokens=st.integers(1, 12),
+           seed=st.integers(0, 3))
+    @example(texts=EDGE_TEXTS, d=16, max_tokens=8, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_hash_rows_equal_pooled_embed_tokens(self, texts, d, max_tokens, seed):
+        cfg = EmbedderConfig(backend="hash", d=d, max_tokens=max_tokens, seed=seed)
+        assert_rows_pool_each_text(HashEmbedder(cfg).embed_captions(texts), texts, HashEmbedder(cfg))
+
+    def test_remote_rows_equal_pooled_embed_tokens(self, monkeypatch):
+        monkeypatch.delenv("TBVAD_CACHE_DIR", raising=False)
+        with StubService(embed_fn=wide_vector) as svc:
+
+            @given(texts=TEXTS, d=st.sampled_from([1, 5, 16]), max_tokens=st.integers(1, 12))
+            @example(texts=EDGE_TEXTS, d=16, max_tokens=8)
+            @settings(max_examples=25, deadline=None)
+            def check(texts, d, max_tokens):
+                cfg = EmbedderConfig(backend="remote", d=d, max_tokens=max_tokens,
+                                     endpoint=svc.endpoint, seed=0)
+                pooled = RemoteEmbedder(cfg).embed_captions(texts)
+                assert_rows_pool_each_text(pooled, texts, RemoteEmbedder(cfg))
+
+            check()
+
+    @given(texts=TEXTS, k_frames=st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_video_rows_are_unit_normalized_pools(self, texts, k_frames):
+        videos = [make_video(f"v{i}", "normal", texts[i:i + 3]) for i in range(0, len(texts), 3)]
+        reference = HashEmbedder(HASH64)
+        for video, feats in zip(videos, videos_features(videos, HASH64, k_frames)):
+            sampled = sample_evenly(video, k_frames)
+            assert feats.x.shape == (len(sampled), HASH64.d)
+            for caption, row in zip(sampled, feats.x):
+                pooled = mean_pool(reference.embed_tokens(caption.text))
+                norm = np.linalg.norm(pooled)
+                assert row.tobytes() == (pooled / norm if norm > 0 else pooled).tobytes()
+
+    def test_empty_input_gives_empty_matrix(self):
+        pooled = HashEmbedder(HASH64).embed_captions([])
+        assert pooled.shape == (0, HASH64.d)
+
+    def test_first_text_without_tokens_is_named(self):
+        with pytest.raises(ValidationError, match=r"text has no tokens to embed: '!!!'"):
+            HashEmbedder(HASH64).embed_captions(["a man", "!!!", "...", "runs"])
+
+    def test_non_finite_vector_rejected(self, tmp_path):
+        def embed(text, dim):
+            return [float("nan")] * dim if text == "glitch" else float32_vector(text, dim)
+
+        with StubService(embed_fn=embed) as svc:
+            cfg = EmbedderConfig(backend="remote", d=8, endpoint=svc.endpoint,
+                                 cache_dir=str(tmp_path / "cache"), seed=0)
+            with pytest.raises(ValidationError, match="embedding matrix contains non-finite values"):
+                RemoteEmbedder(cfg).embed_captions(["a man runs", "a glitch"])
+
+    def test_peak_memory_is_a_small_multiple_of_the_output(self):
+        n, t, d = 500, 512, 64
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(1000)]
+        texts = [" ".join(words[j] for j in rng.integers(0, len(words), t)) for _ in range(n)]
+        emb = HashEmbedder(EmbedderConfig(backend="hash", d=d, max_tokens=t, seed=0))
+        emb.embed_captions(texts)  # fill the token cache, which lives as long as the embedder
+        tracemalloc.start()
+        try:
+            pooled = emb.embed_captions(texts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pooled.shape == (n, d)
+        # The (n, d) output and work buffers, the (V, d) token table and 4 bytes per token id.
+        # Gathering every token row at once would take n * t * d * 8 bytes (131 MB).
+        assert peak < 12 * n * d * 8 < n * t * d * 8 / 40
 
 
 class TestMeanPool:
