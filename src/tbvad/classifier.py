@@ -54,6 +54,7 @@ from .reasoning import (
     init_importance_params,
     softmax,
 )
+from .remote import VectorCache
 
 MODEL_MAGIC = b"TBVM"
 MODEL_FORMAT_VERSION = 1
@@ -272,15 +273,22 @@ def _frame_vectors(embedder, texts: list[str]) -> np.ndarray:
     """
     pooled = embedder.embed_captions(texts)
     for row in pooled:
-        norm = np.linalg.norm(row)
+        # np.linalg.norm's own expression for a 1-D real vector, without its
+        # dispatch; a batched norm sums in another order and is not bit-equal.
+        norm = math.sqrt(row.dot(row))
         if norm > 0:
             row /= norm
     return pooled
 
 
-def videos_features(videos, emb_cfg: EmbedderConfig, k_frames: int) -> list[VideoFeatures]:
-    """Each video's evenly sampled segment, from one embedder and one embed_captions call."""
-    emb = make_embedder(emb_cfg)
+def videos_features(videos, emb_cfg: EmbedderConfig, k_frames: int,
+                    cache: VectorCache | None = None) -> list[VideoFeatures]:
+    """Each video's evenly sampled segment, from one embedder and one embed_captions call.
+
+    ``cache`` goes to ``make_embedder``: the vector cache the knowledge base
+    hands over, so a command reads its embedding packs once.
+    """
+    emb = make_embedder(emb_cfg, cache)
     picked = [sample_evenly(v, k_frames) for v in videos]
     vectors = _frame_vectors(emb, [c.text for caps in picked for c in caps])
     out = []
@@ -469,7 +477,7 @@ def train(train_corpus: CaptionCorpus, kb: KnowledgeBase, cfg: TrainConfig,
     _retain_freed_heap()
     params = init_model_params(model_cfg)
     know = knowledge_inputs(kb)
-    dataset = videos_features(train_corpus.videos, emb, cfg.k_frames)
+    dataset = videos_features(train_corpus.videos, emb, cfg.k_frames, kb.take_embed_cache())
 
     rng = np.random.default_rng(cfg.seed)
     for epoch in range(cfg.epochs):
@@ -524,7 +532,7 @@ def predict_videos(videos, kb: KnowledgeBase, model: ModelParams, emb: EmbedderC
         )
     k_frames = k_frames if k_frames is not None else model.config.k_frames
     know = knowledge_inputs(kb)
-    feats = videos_features(videos, emb, k_frames)
+    feats = videos_features(videos, emb, k_frames, kb.take_embed_cache())
     out = []
     for start in range(0, len(feats), PREDICT_CHUNK):
         fwd = _forward(model, feats[start:start + PREDICT_CHUNK], know)

@@ -9,11 +9,19 @@ interchange format is JSON-Lines, one caption per line:
 The label must agree across all lines of a video.  All operations here are
 pure; a loaded corpus is immutable by convention and safe to share across
 workers.
+
+``load_captions`` streams the file one line at a time and decodes each line
+with the C scanner that ``json.loads`` itself ends in, falling back to
+``json.loads`` for any line the scanner does not consume whole.  It accepts
+and rejects exactly what per-line ``json.loads`` plus ``isinstance`` checks
+did, with the same messages.
 """
 
 from __future__ import annotations
 
 import json
+import json.decoder
+import json.scanner
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +32,9 @@ LABELS = ("normal", "abnormal")
 
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 _WHITESPACE_RE = re.compile(r"\s+")
+# The scanner and whitespace pattern that ``json.loads`` runs for a str.
+_SCAN = json.scanner.make_scanner(json.JSONDecoder())
+_JSON_WHITESPACE = json.decoder.WHITESPACE.match
 
 
 @dataclass(frozen=True)
@@ -103,8 +114,29 @@ def _utf8_error(path: Path) -> str:
     return f"{path}: not valid UTF-8"
 
 
+def _record_error(rec) -> str:
+    """Why a decoded line is not a caption record, in the loader's words."""
+    if not isinstance(rec, dict):
+        return "record is not an object"
+    for key, typ in (("video_id", str), ("frame_index", int), ("label", str), ("text", str)):
+        if key not in rec:
+            return f"missing field {key!r}"
+        if not isinstance(rec[key], typ) or isinstance(rec[key], bool):
+            return f"field {key!r} must be {typ.__name__}"
+    raise AssertionError(f"record passes every field check: {rec!r}")
+
+
 def load_captions(path: str | Path, source_tag: str | None = None) -> CaptionCorpus:
     """Load a JSONL caption file into a validated corpus.
+
+    The file is read line by line through a text-mode handle, so line
+    endings are universal newlines and only the current line is held.  Each
+    line goes to the C scanner under ``json.loads``; its value is taken when
+    only JSON whitespace follows it, and any other non-blank line is passed
+    to ``json.loads`` itself.  A record whose four fields have exactly the
+    expected JSON types passes; any other goes through the field-by-field
+    check for its message.  So every line is decoded and checked as
+    ``json.loads`` and ``isinstance`` would, with the same messages.
 
     Raises ValidationError naming the offending line for bytes that are not
     UTF-8, malformed JSON, missing/bad fields, duplicate (video_id,
@@ -117,25 +149,27 @@ def load_captions(path: str | Path, source_tag: str | None = None) -> CaptionCor
     per_video: dict[str, list[Caption]] = {}
     labels: dict[str, str] = {}
     seen: set[tuple[str, int]] = set()
-    n_lines = 0
     try:
         with path.open("r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                n_lines += 1
                 try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise ValidationError(f"{path}:{lineno}: malformed JSON ({e.msg})") from e
-                if not isinstance(rec, dict):
-                    raise ValidationError(f"{path}:{lineno}: record is not an object")
-                for key, typ in (("video_id", str), ("frame_index", int), ("label", str), ("text", str)):
-                    if key not in rec:
-                        raise ValidationError(f"{path}:{lineno}: missing field {key!r}")
-                    if not isinstance(rec[key], typ) or isinstance(rec[key], bool):
-                        raise ValidationError(f"{path}:{lineno}: field {key!r} must be {typ.__name__}")
-                vid, fidx, label, text = rec["video_id"], rec["frame_index"], rec["label"], rec["text"]
+                    rec, end = _SCAN(line, 0)
+                    whole = line[end:] == "\n" or _JSON_WHITESPACE(line, end).end() == len(line)
+                except (StopIteration, ValueError):
+                    whole = False
+                if not whole:
+                    if not line.strip():
+                        continue
+                    try:
+                        rec = json.loads(line)
+                    except json.JSONDecodeError as e:
+                        raise ValidationError(f"{path}:{lineno}: malformed JSON ({e.msg})") from e
+                if not (type(rec) is dict
+                        and type(vid := rec.get("video_id")) is str
+                        and type(fidx := rec.get("frame_index")) is int
+                        and type(label := rec.get("label")) is str
+                        and type(text := rec.get("text")) is str):
+                    raise ValidationError(f"{path}:{lineno}: {_record_error(rec)}")
                 if label not in LABELS:
                     raise ValidationError(f"{path}:{lineno}: label must be one of {LABELS}, got {label!r}")
                 if (vid, fidx) in seen:
@@ -153,7 +187,8 @@ def load_captions(path: str | Path, source_tag: str | None = None) -> CaptionCor
     except UnicodeDecodeError as e:
         raise ValidationError(_utf8_error(path)) from e
 
-    if n_lines == 0:
+    # Every non-blank line either raised or added one (video_id, frame_index) pair.
+    if not seen:
         raise ValidationError(f"caption file is empty: {path}")
 
     videos = tuple(

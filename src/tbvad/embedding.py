@@ -125,6 +125,9 @@ class _TokenEmbedder:
     each distinct token up once.
     """
 
+    # The on-disk vector cache, if the backend has one.
+    cache: VectorCache | None = None
+
     def __init__(self, cfg: EmbedderConfig):
         self.cfg = cfg
         self._token_cache: dict[str, np.ndarray] = {}
@@ -200,12 +203,15 @@ class RemoteEmbedder(_TokenEmbedder):
     as the texts, so one request batch yields up to 64 token vectors.
     """
 
-    def __init__(self, cfg: EmbedderConfig):
+    def __init__(self, cfg: EmbedderConfig, cache: VectorCache | None = None):
         if not cfg.endpoint:
             raise ValidationError("remote embedder requires an endpoint")
         super().__init__(cfg)
         cache_dir = cfg.cache_dir or default_cache_dir()
-        self.cache = VectorCache(Path(cache_dir) / "embed") if cache_dir else None
+        embed_dir = Path(cache_dir) / "embed" if cache_dir else None
+        if cache is None or cache.dir != embed_dir:
+            cache = VectorCache(embed_dir) if embed_dir else None
+        self.cache = cache
 
     def _fetch_batch(self, texts: list[str]) -> list[np.ndarray]:
         url = self.cfg.endpoint.rstrip("/") + "/embed"
@@ -261,10 +267,17 @@ class RemoteEmbedder(_TokenEmbedder):
         return self.embed_texts(tokens)
 
 
-def make_embedder(cfg: EmbedderConfig) -> HashEmbedder | RemoteEmbedder:
+def make_embedder(cfg: EmbedderConfig, cache: VectorCache | None = None) -> HashEmbedder | RemoteEmbedder:
+    """The embedder for ``cfg``.
+
+    ``cache`` is a ``VectorCache`` another embedder of the same command
+    opened, as the knowledge base hands it over.  A remote embedder whose
+    cache directory is ``cache.dir`` shares it, so the packs there are read
+    once; any other ignores it.
+    """
     if cfg.backend == "hash":
         return HashEmbedder(cfg)
-    return RemoteEmbedder(cfg)
+    return RemoteEmbedder(cfg, cache)
 
 
 def embed_tokens(text: str, cfg: EmbedderConfig) -> TokenEmbeddingSeq:
@@ -277,7 +290,9 @@ def mean_pool(seq: TokenEmbeddingSeq) -> np.ndarray:
     count = int(seq.mask.sum())
     if count == 0:
         raise ValidationError("cannot mean-pool a sequence whose rows are all masked")
-    return seq.vectors[seq.mask].sum(axis=0) / count
+    # A running sum down the rows, the order embed_captions pools in: on a
+    # one-column input, sum(axis=0) adds pairwise and can differ in the last bit.
+    return np.cumsum(seq.vectors[seq.mask], axis=0)[-1] / count
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 from .corpus import CaptionCorpus, sentence_split
 from .embedding import EmbedderConfig, make_embedder, tokenize
 from .errors import TbvadError, ValidationError
-from .remote import TextCache, default_cache_dir, post_json
+from .remote import TextCache, VectorCache, default_cache_dir, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -320,6 +320,8 @@ class KnowledgeBase:
     prototypes: dict[str, np.ndarray] = field(init=False, default_factory=dict)
     sentence_embeddings: dict[tuple[str, str], np.ndarray] = field(init=False, default_factory=dict)
     mean_embedding: np.ndarray = field(init=False)
+    # The vector cache the slots were embedded through, until take_embed_cache.
+    embed_cache: VectorCache | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.aspects = validate_aspects(self.aspects)
@@ -339,7 +341,9 @@ class KnowledgeBase:
         texts = [self.slots[key].text for key in keys]
         texts += [s for sents in sentences for s in sents]
         texts += [self.joined_text(v) for v in CLASSES]
-        pooled = make_embedder(self.embedder).embed_captions(texts)
+        embedder = make_embedder(self.embedder)
+        pooled = embedder.embed_captions(texts)
+        self.embed_cache = embedder.cache
         start = 0
         for v in CLASSES:
             self.prototypes[v] = pooled[start:start + len(self.aspects)]
@@ -348,6 +352,16 @@ class KnowledgeBase:
             self.sentence_embeddings[key] = pooled[start:start + len(sents)]
             start += len(sents)
         self.mean_embedding = 0.5 * (pooled[start] + pooled[start + 1])
+
+    def take_embed_cache(self) -> VectorCache | None:
+        """Hand the vector cache the slots were embedded through to the caption side, once.
+
+        Its index holds every vector in the cache directory.  Sharing it lets
+        a command read the packs once; dropping this reference frees the
+        index with the caption embedder, before training or scoring runs.
+        """
+        cache, self.embed_cache = self.embed_cache, None
+        return cache
 
     def joined_text(self, class_v: str) -> str:
         """Active slot texts concatenated in canonical order, newline-joined."""

@@ -13,6 +13,7 @@ import pytest
 
 from tbvad.cli import _load_kb, main, resolve_config
 from tbvad.corpus import save_captions
+from tbvad.remote import VectorCache
 from tbvad.synthetic import SyntheticConfig, generate_corpus
 
 from stubs import StubService, float32_vector
@@ -314,6 +315,34 @@ class TestEvalExplain:
         assert proc.returncode == 1, proc.stderr
         (line,) = proc.stderr.splitlines()
         assert line == "error: embedding matrix contains non-finite values"
+
+    def test_warm_remote_commands_read_each_pack_once(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache"
+        with StubService(embed_fn=float32_vector) as svc:
+            cfg = cli_config(tmp_path, endpoints={"embed": svc.endpoint},
+                             embedder={"backend": "remote", "d": 16, "max_tokens": 512,
+                                       "cache_dir": str(cache)})
+            data, kb, model = tmp_path / "data", tmp_path / "kb.json", tmp_path / "model.tbvm"
+            test = str(data / "test.jsonl")
+            assert main(["gen-synth", "--config", cfg, "--out", str(data)]) == 0
+            assert main(["build-knowledge", "--config", cfg, "--captions", str(data / "train.jsonl"),
+                         "--out", str(kb), "--extractive"]) == 0
+            assert main(["train", "--config", cfg, "--captions", str(data / "train.jsonl"),
+                         "--knowledge", str(kb), "--out", str(model)]) == 0
+            common = ["--config", cfg, "--captions", test, "--knowledge", str(kb), "--model", str(model)]
+            assert main(["eval", *common]) == 0  # caches the held-out tokens
+            video_id = json.loads((data / "test.jsonl").read_text(encoding="utf-8").splitlines()[0])["video_id"]
+            reads = []
+            read_pack = VectorCache._read_pack
+            monkeypatch.setattr(VectorCache, "_read_pack",
+                                lambda self, path: reads.append(path) or read_pack(self, path))
+            n_requests = len(svc.requests)
+            for argv in (["eval", *common], ["explain", *common, "--video-id", video_id, "--counterfactual"]):
+                reads.clear()
+                assert main(argv) == 0
+                assert sorted(reads) == sorted((cache / "embed").glob("*.vecs")), argv[0]
+            assert len(svc.requests) == n_requests
+        capsys.readouterr()
 
     def test_caption_stats(self, workspace, capsys):
         code, out, _ = run_cli(capsys, "caption-stats",

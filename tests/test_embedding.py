@@ -110,6 +110,8 @@ class TestEmbedCaptions:
 
             @given(texts=TEXTS, d=st.sampled_from([1, 5, 16]), max_tokens=st.integers(1, 12))
             @example(texts=EDGE_TEXTS, d=16, max_tokens=8)
+            # One column and eight tokens: a pairwise sum would differ in the last bit.
+            @example(texts=["a a a a a the a a"], d=1, max_tokens=8)
             @settings(max_examples=25, deadline=None)
             def check(texts, d, max_tokens):
                 cfg = EmbedderConfig(backend="remote", d=d, max_tokens=max_tokens,
@@ -131,6 +133,20 @@ class TestEmbedCaptions:
                 pooled = mean_pool(reference.embed_tokens(caption.text))
                 norm = np.linalg.norm(pooled)
                 assert row.tobytes() == (pooled / norm if norm > 0 else pooled).tobytes()
+
+    def test_video_rows_equal_linalg_normalized_pools(self, monkeypatch):
+        # One eval's worth of rows (300 videos of 8 frames) whose norms span many decades.
+        monkeypatch.delenv("TBVAD_CACHE_DIR", raising=False)
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(300)]
+        texts = [" ".join(rng.choice(words, size=rng.integers(1, 20))) for _ in range(2400)]
+        videos = [make_video(f"v{i}", "normal", texts[i:i + 8]) for i in range(0, len(texts), 8)]
+        with StubService(embed_fn=wide_vector) as svc:
+            cfg = EmbedderConfig(backend="remote", d=16, max_tokens=512, endpoint=svc.endpoint, seed=0)
+            rows = np.concatenate([f.x for f in videos_features(videos, cfg, 8)])
+            pooled = RemoteEmbedder(cfg).embed_captions(texts)
+        for row, p in zip(rows, pooled, strict=True):
+            assert row.tobytes() == (p / np.linalg.norm(p)).tobytes()
 
     def test_empty_input_gives_empty_matrix(self):
         pooled = HashEmbedder(HASH64).embed_captions([])

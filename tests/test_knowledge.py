@@ -377,6 +377,9 @@ class TestRemoteKnowledgeEmbedding:
             loaded = load_knowledge(path, endpoint=svc.endpoint, cache_dir=str(tmp_path / "cache"))
             assert np.array_equal(knowledge_mean_embedding(loaded), mean)
             assert svc.request_count == -(-len(distinct) // 64)
+        # The caption side takes the loaded cache once; the knowledge base keeps no reference.
+        assert loaded.take_embed_cache().dir == tmp_path / "cache" / "embed"
+        assert loaded.take_embed_cache() is None
         assert len(gets) == len(set(gets)) == len(distinct)
         for v in ("n", "a"):
             assert np.array_equal(loaded.prototypes[v], kb.prototypes[v])
