@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -575,8 +576,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on first use and shared by every later ``main`` call in the process:
+# building takes about 1 ms, parsing about 0.05 ms, and parse_args leaves the
+# parser unchanged.
+_shared_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         return args.fn(args)

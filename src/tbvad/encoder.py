@@ -43,8 +43,11 @@ def f32_exact(arr: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tanh-approximate GELU; returns (gelu(x), tanh term) so the backward reuses the tanh."""
-    t = np.tanh(_GELU_K * (x + _GELU_C * x ** 3))
+    """Tanh-approximate GELU; returns (gelu(x), tanh term) so the backward reuses the tanh.
+
+    The cube is a product: numpy sends an integer power of 3 to libm ``pow``, about 80x slower.
+    """
+    t = np.tanh(_GELU_K * (x + _GELU_C * (x * x * x)))
     return 0.5 * x * (1.0 + t), t
 
 

@@ -23,12 +23,12 @@ _GELU_C = 0.044715
 
 
 def gelu(x):
-    inner = _GELU_K * (x + _GELU_C * x ** 3)
+    inner = _GELU_K * (x + _GELU_C * (x * x * x))
     return 0.5 * x * (1.0 + np.tanh(inner))
 
 
 def gelu_grad(x):
-    inner = _GELU_K * (x + _GELU_C * x ** 3)
+    inner = _GELU_K * (x + _GELU_C * (x * x * x))
     t = np.tanh(inner)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * _GELU_K * (1.0 + 3.0 * _GELU_C * x ** 2)
 

@@ -212,6 +212,27 @@ class TestEvalExplain:
         assert abs(sum(record["margins"].values())) <= 1e-6
         assert record["rationale"].startswith("Decision:")
 
+    def test_calls_in_one_process_share_no_flag_values(self, workspace, capsys):
+        from tbvad.corpus import load_captions
+        vid = load_captions(workspace["data"] / "test.jsonl").videos[0].video_id
+        common = ["--config", workspace["cfg"],
+                  "--captions", str(workspace["data"] / "test.jsonl"),
+                  "--knowledge", str(workspace["kb"]), "--model", str(workspace["model"])]
+        code, out, _ = run_cli(capsys, "explain", *common, "--video-id", vid,
+                               "--counterfactual", "--topk", "1")
+        assert code == 0
+        record = json.loads(out)
+        assert len(record["evidences"]) == 1 and record["margins"]
+        code, out, _ = run_cli(capsys, "explain", *common, "--video-id", vid)
+        assert code == 0
+        record = json.loads(out)
+        assert len(record["evidences"]) == 2  # the config's topk, not the last call's
+        assert record["margins"] == {}
+        code, out, _ = run_cli(capsys, "eval", *common)
+        assert code == 0
+        report = json.loads(out)
+        assert report["auc"] is not None and report["acc"] is not None
+
     def test_explain_unknown_video_fails(self, workspace, capsys):
         code, _, err = run_cli(capsys, "explain", "--config", workspace["cfg"],
                                "--captions", str(workspace["data"] / "test.jsonl"),

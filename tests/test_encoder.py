@@ -146,6 +146,22 @@ class TestEncodeDescriptions:
         assert np.max(np.abs(xhat.mean(axis=1))) <= 1e-6
 
 
+class TestGelu:
+    def test_cube_is_a_product_not_pow(self):
+        """gelu cubes by multiplication; libm pow differs in the last bit on some inputs."""
+        rng = np.random.default_rng(14)
+        shape = (16, 8, 256)
+        x = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 2.0, size=shape)
+        k, c = math.sqrt(2.0 / math.pi), 0.044715
+        tanh_term = np.tanh(k * (x + c * (x * x * x)))
+        y, t = gelu(x)
+        assert np.array_equal(t, tanh_term)
+        assert np.array_equal(y, 0.5 * x * (1.0 + tanh_term))
+        # The draw must be able to tell the product from pow, or the test pins nothing.
+        assert not np.array_equal(np.tanh(k * (x + c * x ** 3)), tanh_term)
+        assert not np.array_equal(np.tanh(k * (x + c * np.power(x, 3))), tanh_term)
+
+
 def head_projection(vectors, mask, w_d, b_d):
     """P_d of the classifier head on one encoded segment, gate at zero."""
     d_latent, d = w_d.shape
