@@ -9,9 +9,12 @@ its training signal through a gated residual: the importance-weighted slot
 context (computed against class-agnostic prototypes) is added to the pooled
 description before projection, with the scalar gate initialized to zero.
 
-Every video is one segment of evenly sampled captions.  Training
-minimizes mean video-level binary cross-entropy with L2 on the weight
-matrices, by plain seeded-shuffle mini-batch gradient descent.  All
+Every video is one segment of evenly sampled captions.  The videos of one
+segment shape form a (B, T, d) group, which takes one encoder pass and one
+head pass; each video's numbers are bit for bit those of a group of one,
+and the head's gradients are added video by video in batch order.
+Training minimizes mean video-level binary cross-entropy with L2 on the
+weight matrices, by plain seeded-shuffle mini-batch gradient descent.  All
 gradients are analytic and finite-difference checked in the test suite.
 """
 
@@ -185,73 +188,130 @@ def knowledge_inputs(kb: KnowledgeBase) -> KnowledgeInputs:
     )
 
 
+class _HeadCache(NamedTuple):
+    """Forward state of the head over one (B, T, d) shape group; row b is video b."""
+
+    h: np.ndarray
+    mask: np.ndarray
+    count: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+    norm: np.ndarray
+    pooled: np.ndarray
+    p_d: np.ndarray
+    p_v: np.ndarray
+    f_cache: tuple
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[b] @ y[b]`` (or ``x[b] @ y`` for a 1-D ``y``) for every row of a (B, n) stack.
+
+    Each row takes one BLAS dot, as two 1-D vectors do; a (B, n) @ (n,)
+    matmul would take a matrix-times-vector instead.
+    """
+    return (x[:, None, :] @ y[..., :, None])[:, 0, 0]
+
+
+def _matvecs(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``m @ x[b]`` for every row of a (B, n) stack, one matrix-times-vector per row."""
+    return (m @ x[:, :, None])[..., 0]
+
+
 def _head_forward(params: ModelParams, h: np.ndarray, mask: np.ndarray,
                   know: KnowledgeInputs):
-    """Slot attention, importance, gated residual and fusion logit of one encoded segment."""
-    count = int(mask.sum())
-    hbar = h[mask].sum(axis=0) / count
+    """Slot attention, importance, gated residual and fusion logits of one shape group.
+
+    ``h`` is the group's encoded (B, T, d) stack and ``mask`` its (B, T)
+    mask; returns the (B,) logits and the cache.  Every matmul keeps the
+    core shape a single segment gives it, so each video's numbers are bit
+    for bit those of a group of one.
+    """
+    count = mask.sum(axis=1)
+    # Boolean selection per video: a masked sum over T would add the masked
+    # rows' zeros and, at d = 1, sum in another order.
+    hbar = np.array([h_b[m_b].sum(axis=0) for h_b, m_b in zip(h, mask)]) / count[:, None]
     protos = know.prototypes
     a, c = attend(protos, h, mask)
     z, f_cache = importance_forward(c, protos, params.importance)
     w = softmax(z)
-    ctx = w @ c
+    ctx = (w[:, None, :] @ c)[:, 0]
     # The raw context scale is quadratic in the token magnitudes and drifts
     # during training; the residual uses its direction only, gated by g.
-    norm = float(np.linalg.norm(ctx))
-    u = ctx / norm if norm > 0 else ctx
+    # Each norm is np.linalg.norm's own expression for a 1-D vector.
+    norm = np.array([math.sqrt(row.dot(row)) for row in ctx])
+    u = ctx / np.where(norm > 0, norm, 1.0)[:, None]
     g = params.gate[0]
     pooled = hbar + g * u
-    p_d = params.encoder.w_d @ pooled + params.encoder.b_d
+    p_d = _matvecs(params.encoder.w_d, pooled) + params.encoder.b_d
     p_v = params.w_v @ know.mean_embedding + params.b_v
     dl = params.config.d_latent
-    logit = float(params.fuse_w[:dl] @ p_d + params.fuse_w[dl:] @ p_v + params.fuse_b[0])
-    cache = (h, mask, count, a, c, w, u, norm, pooled, p_d, p_v, f_cache)
-    return logit, cache
+    logits = _dots(p_d, params.fuse_w[:dl]) + params.fuse_w[dl:] @ p_v
+    logits += params.fuse_b[0]
+    return logits, _HeadCache(h, mask, count, a, c, w, u, norm, pooled, p_d, p_v, f_cache)
 
 
-def _head_backward(dlogit: float, params: ModelParams, know: KnowledgeInputs, cache,
-                   grads: dict[str, np.ndarray]) -> np.ndarray:
-    """Accumulate one segment's head gradients into ``grads``; returns dL/dh."""
-    h, mask, count, a, c, w, u, norm, pooled, p_d, p_v, f_cache = cache
+# Head parameters whose per-video gradient terms are vectors, in the column
+# order of _HeadGrads.vectors.
+_HEAD_VECTOR_GRADS = ("fuse_b", "fuse_w", "b_v", "encoder.b_d", "gate",
+                      "importance.w2", "importance.b2", "importance.b1")
+
+
+class _HeadGrads(NamedTuple):
+    """One shape group's per-video head gradient terms; row b is video b.
+
+    The vector terms sit side by side in ``vectors``.  The matrix gradients
+    are kept as factors, so that no (B, out, in) stack is built: video b
+    adds outer(dp_d[b], pooled[b]) to w_d, outer(dp_v[b], mean_embedding)
+    to w_v and dpre[b].T @ u[b] to the importance net's w1.
+    """
+
+    vectors: np.ndarray
+    dp_d: np.ndarray
+    pooled: np.ndarray
+    dp_v: np.ndarray
+    dpre: np.ndarray
+    u: np.ndarray
+
+
+def _head_backward(dlogit: np.ndarray, params: ModelParams, know: KnowledgeInputs,
+                   cache: _HeadCache) -> tuple[np.ndarray, _HeadGrads]:
+    """Backprop one shape group's head from its (B,) dL/dlogit; returns (dL/dh, terms)."""
     dl = params.config.d_latent
     protos = know.prototypes
-
-    grads["fuse_b"][0] += dlogit
-    grads["fuse_w"][:dl] += dlogit * p_d
-    grads["fuse_w"][dl:] += dlogit * p_v
-    dp_d = dlogit * params.fuse_w[:dl]
-    dp_v = dlogit * params.fuse_w[dl:]
-
-    grads["b_v"] += dp_v
-    grads["w_v"] += np.outer(dp_v, know.mean_embedding)
-
-    grads["encoder.b_d"] += dp_d
-    grads["encoder.w_d"] += np.outer(dp_d, pooled)
-    dpooled = params.encoder.w_d.T @ dp_d
+    dlogit_col = dlogit[:, None]
+    dp_d = dlogit_col * params.fuse_w[:dl]
+    dp_v = dlogit_col * params.fuse_w[dl:]
+    dpooled = _matvecs(params.encoder.w_d.T, dp_d)
 
     dhbar = dpooled
     g = params.gate[0]
-    grads["gate"][0] += float(dpooled @ u)
+    dgate = _dots(dpooled, cache.u)
     du = g * dpooled
-    if norm > 0:
-        dctx = (du - u * float(u @ du)) / norm
-    else:
-        dctx = du
+    positive = (cache.norm > 0)[:, None]
+    scale = np.where(positive, cache.norm[:, None], 1.0)
+    dctx = np.where(positive, (du - cache.u * _dots(cache.u, du)[:, None]) / scale, du)
 
-    dw = c @ dctx
-    dc = np.outer(w, dctx)
-    dz = w * (dw - float(dw @ w))
-    dc_f, f_grads = importance_backward(dz, f_cache, params.importance)
+    w = cache.w
+    dw = _matvecs(cache.c, dctx)
+    dc = w[:, :, None] * dctx[:, None, :]
+    dz = w * (dw - _dots(dw, w)[:, None])
+    dc_f, f_grads, dpre = importance_backward(dz, cache.f_cache, params.importance)
     dc = dc + dc_f
-    for name, val in f_grads.items():
-        grads[f"importance.{name}"] += val
 
-    da = dc @ h.T
-    dh = a.T @ dc
-    da = da * mask[None, :]
-    dh += da.T @ protos / math.sqrt(params.config.d_model)
-    dh[mask] += dhbar / count
-    return dh
+    h, mask = cache.h, cache.mask
+    da = dc @ h.swapaxes(1, 2)
+    dh = cache.a.swapaxes(1, 2) @ dc
+    da = da * mask[:, None, :]
+    dh += da.swapaxes(1, 2) @ protos / math.sqrt(params.config.d_model)
+    np.add(dh, (dhbar / cache.count[:, None])[:, None, :], out=dh, where=mask[:, :, None])
+
+    vectors = np.concatenate([
+        dlogit_col, dlogit_col * cache.p_d, dlogit_col * cache.p_v, dp_v, dp_d, dgate[:, None],
+        f_grads["w2"], f_grads["b2"], f_grads["b1"],
+    ], axis=1)
+    return dh, _HeadGrads(vectors, dp_d, cache.pooled, dp_v, dpre, cache.f_cache[0])
 
 
 @dataclass
@@ -308,68 +368,92 @@ def video_features(video: VideoRecord, emb_cfg: EmbedderConfig, k_frames: int) -
 
 
 class _Segment(NamedTuple):
-    """One video's encoded segment: its group, its row in that group, and its head."""
+    """Where one video's segment sits: its shape group and its row in that group."""
 
     group: int
     row: int
-    logit: float
-    cache: tuple
 
 
 @dataclass
 class _BatchForward:
     """Forward state of a list of videos.
 
-    ``segments[v]`` is video v's encoded segment; ``groups[g]`` is the
-    (B, T) mask and the encoder caches of one encoder_forward.
+    ``segments[v]`` says where video v sits.  Shape group g has the (B, T)
+    mask and the encoder caches ``groups[g]`` of one encoder_forward, and
+    the cache ``heads[g]`` and logits ``logits[g]`` of one head call.
     """
 
     segments: list[_Segment]
     groups: list[tuple[np.ndarray, list]]
+    heads: list[_HeadCache]
+    logits: list[list[float]]
 
 
 def _forward(params: ModelParams, batch: list[VideoFeatures],
              know: KnowledgeInputs) -> _BatchForward:
     """The one forward path: train and predict both use it.
 
-    Videos are grouped by segment shape and each group takes one
-    encoder_forward; they are never padded, because padding changes the
-    BLAS reduction length and with it the low bits.  The head runs per video.
+    Videos are grouped by segment shape, and each group takes one
+    encoder_forward and one head call; they are never padded, because
+    padding changes the BLAS reduction length and with it the low bits.
     """
     by_shape: dict[tuple[int, ...], list[int]] = {}
     for v, feats in enumerate(batch):
         by_shape.setdefault(feats.x.shape, []).append(v)
-    segments: list = [None] * len(batch)
-    groups = []
+    fwd = _BatchForward(segments=[None] * len(batch), groups=[], heads=[], logits=[])
     for ids in by_shape.values():
         mask = np.stack([batch[v].mask for v in ids])
         h, caches = encoder_forward(np.stack([batch[v].x for v in ids]), mask, params.encoder)
+        logits, head = _head_forward(params, h, mask, know)
         for row, v in enumerate(ids):
-            logit, cache = _head_forward(params, h[row], mask[row], know)
-            segments[v] = _Segment(len(groups), row, logit, cache)
-        groups.append((mask, caches))
-    return _BatchForward(segments=segments, groups=groups)
+            fwd.segments[v] = _Segment(len(fwd.groups), row)
+        fwd.groups.append((mask, caches))
+        fwd.heads.append(head)
+        fwd.logits.append(logits.tolist())
+    return fwd
+
+
+def _add_head_grads(fwd: _BatchForward, terms: list[_HeadGrads], know: KnowledgeInputs,
+                    grads: dict[str, np.ndarray]) -> None:
+    """Add each video's head gradient terms into ``grads``, in batch order.
+
+    ``terms[g]`` is group g's.  The vector terms are summed in one buffer
+    from zero, as the fresh accumulators in ``grads`` start, so each
+    accumulator gets the sum that adding video by video gives.
+    """
+    vectors = np.zeros(terms[0].vectors.shape[1])
+    w_v, w_d, w1 = grads["w_v"], grads["encoder.w_d"], grads["importance.w1"]
+    for g, b in fwd.segments:
+        t = terms[g]
+        vectors += t.vectors[b]
+        w_v += t.dp_v[b][:, None] * know.mean_embedding  # np.outer's own product
+        w_d += t.dp_d[b][:, None] * t.pooled[b]
+        w1 += t.dpre[b].T @ t.u[b]
+    start = 0
+    for name in _HEAD_VECTOR_GRADS:
+        acc = grads[name]
+        acc += vectors[start:start + acc.size]
+        start += acc.size
 
 
 def _encoder_backward(params: ModelParams, fwd: _BatchForward,
                       dhs: list[np.ndarray], grads: dict[str, np.ndarray]) -> None:
-    """Backprop each video's dL/dh, in batch order, through the encoder.
+    """Backprop each group's dL/dh, ``dhs[g]`` (B, T, d), through the encoder in batch order.
 
     Each run of consecutive videos from one group takes one
     encoder_backward, which adds the gradients video by video, so the sums
     keep the batch order even when segment shapes interleave.  A run that
-    covers only part of its group works on a copy of those rows' caches.
+    covers only part of its group works on a copy of those rows.
     """
     enc_grads = {name[len("encoder."):]: arr for name, arr in grads.items()
                  if name.startswith("encoder.layers.")}
-    for g, run in itertools.groupby(zip(fwd.segments, dhs), key=lambda item: item[0].group):
-        run = list(run)
-        rows = [seg.row for seg, _ in run]
-        mask, caches = fwd.groups[g]
+    for g, run in itertools.groupby(fwd.segments, key=lambda seg: seg.group):
+        rows = [seg.row for seg in run]
+        (mask, caches), dh = fwd.groups[g], dhs[g]
         if len(rows) != mask.shape[0]:
-            mask = mask[rows]
+            mask, dh = mask[rows], dh[rows]
             caches = [tuple(arr[rows] for arr in layer) for layer in caches]
-        encoder_backward(np.stack([dh for _, dh in run]), mask, params.encoder, caches, enc_grads)
+        encoder_backward(dh, mask, params.encoder, caches, enc_grads)
 
 
 def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
@@ -383,14 +467,20 @@ def batch_loss_and_grads(params: ModelParams, batch: list[VideoFeatures],
     total = 0.0
     n = len(batch)
     fwd = _forward(params, batch, know)
-    dhs = []
+    dlogits = [np.empty(len(logits)) for logits in fwd.logits]
     for feats, seg in zip(batch, fwd.segments):
-        logit, t = seg.logit, feats.target
+        logit, t = fwd.logits[seg.group][seg.row], feats.target
         # Stable BCE: softplus(logit) - t * logit.
         loss = math.log1p(math.exp(-abs(logit))) + max(logit, 0.0) - t * logit
         total += loss / n
-        dlogit = (_sigmoid(logit) - t) / n
-        dhs.append(_head_backward(dlogit, params, know, seg.cache, grads))
+        dlogits[seg.group][seg.row] = (_sigmoid(logit) - t) / n
+    backs = [_head_backward(dlogit, params, know, head) for dlogit, head in zip(dlogits, fwd.heads)]
+    _add_head_grads(fwd, [terms for _, terms in backs], know, grads)
+    dhs = [dh for dh, _ in backs]
+    # The encoder backward is the step's memory peak; the head's state is
+    # done with, so free it first.
+    del backs
+    fwd.heads.clear()
     _encoder_backward(params, fwd, dhs, grads)
     for name, arr in params.tensors().items():
         if arr.ndim >= 2 and l2_weight > 0.0:
@@ -506,14 +596,24 @@ def train(train_corpus: CaptionCorpus, kb: KnowledgeBase, cfg: TrainConfig,
 PREDICT_CHUNK = 16
 
 
+class Prediction(NamedTuple):
+    """One scored video, unchecked: anomaly probability, P_d, and H_d with its mask."""
+
+    y: float
+    p_d: np.ndarray
+    h: np.ndarray
+    mask: np.ndarray
+
+
 def predict_videos(videos, kb: KnowledgeBase, model: ModelParams, emb: EmbedderConfig,
-                   k_frames: int | None = None) -> list[tuple[float, np.ndarray, TokenEmbeddingSeq]]:
-    """Score videos in order; returns one (y, P_d, H_d) per video, for reasoning.
+                   k_frames: int | None = None) -> list[Prediction]:
+    """Score videos in order; returns one Prediction per video.
 
     The checks, the knowledge inputs and the embedder are set up once for
     all videos, and the forward runs over chunks of PREDICT_CHUNK videos.
-    H_d is the encoded sequence of a video's segment; P_d is the
-    residual-augmented description projection actually used for fusion.
+    H_d is the encoded sequence of a video's segment (views into its chunk's
+    arrays); P_d is the residual-augmented description projection actually
+    used for fusion.
     """
     _check_token_space(emb, kb)
     if emb.d != model.config.d_model:
@@ -536,16 +636,18 @@ def predict_videos(videos, kb: KnowledgeBase, model: ModelParams, emb: EmbedderC
     out = []
     for start in range(0, len(feats), PREDICT_CHUNK):
         fwd = _forward(model, feats[start:start + PREDICT_CHUNK], know)
-        for seg in fwd.segments:
-            h, mask, p_d = seg.cache[0], seg.cache[1], seg.cache[9]
-            out.append((_sigmoid(seg.logit), p_d, TokenEmbeddingSeq(vectors=h, mask=mask.copy())))
+        for g, row in fwd.segments:
+            head = fwd.heads[g]
+            out.append(Prediction(_sigmoid(fwd.logits[g][row]), head.p_d[row], head.h[row],
+                                  head.mask[row]))
     return out
 
 
 def predict_video(video: VideoRecord, kb: KnowledgeBase, model: ModelParams,
                   emb: EmbedderConfig, k_frames: int | None = None):
-    """Score one video; returns (y, P_d, H_d) as ``predict_videos`` does."""
-    return predict_videos([video], kb, model, emb, k_frames)[0]
+    """Score one video for reasoning; returns (y, P_d, H_d) with H_d a checked sequence."""
+    y, p_d, h, mask = predict_videos([video], kb, model, emb, k_frames)[0]
+    return y, p_d, TokenEmbeddingSeq(vectors=h, mask=mask.copy())
 
 
 def serialize_model(model: ModelParams) -> bytes:

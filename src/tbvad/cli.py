@@ -399,7 +399,7 @@ def cmd_eval(args) -> int:
 def cmd_explain(args) -> int:
     cfg = resolve_config(args)
     _require(args, "captions", "knowledge", "model", "video-id")
-    corpus = load_captions(args.captions)
+    corpus = load_captions(args.captions, video_id=args.video_id)
     video = corpus.video(args.video_id)
     kb = _load_kb(args, cfg)
     model = load_model(args.model)

@@ -126,7 +126,8 @@ def _record_error(rec) -> str:
     raise AssertionError(f"record passes every field check: {rec!r}")
 
 
-def load_captions(path: str | Path, source_tag: str | None = None) -> CaptionCorpus:
+def load_captions(path: str | Path, source_tag: str | None = None, *,
+                  video_id: str | None = None) -> CaptionCorpus:
     """Load a JSONL caption file into a validated corpus.
 
     The file is read line by line through a text-mode handle, so line
@@ -141,6 +142,11 @@ def load_captions(path: str | Path, source_tag: str | None = None) -> CaptionCor
     Raises ValidationError naming the offending line for bytes that are not
     UTF-8, malformed JSON, missing/bad fields, duplicate (video_id,
     frame_index) pairs, label disagreement within a video, or an empty file.
+
+    With ``video_id``, the corpus keeps that video only (or none, if the
+    file lacks it).  Every line is still decoded and checked, but the other
+    videos' captions are dropped as soon as they pass, so a caller after one
+    video does not hold the whole file.
     """
     path = Path(path)
     if not path.exists():
@@ -183,7 +189,8 @@ def load_captions(path: str | Path, source_tag: str | None = None) -> CaptionCor
                     cap = Caption(video_id=vid, frame_index=fidx, text=text)
                 except ValidationError as e:
                     raise ValidationError(f"{path}:{lineno}: {e}") from e
-                per_video.setdefault(vid, []).append(cap)
+                if video_id is None or vid == video_id:
+                    per_video.setdefault(vid, []).append(cap)
     except UnicodeDecodeError as e:
         raise ValidationError(_utf8_error(path)) from e
 

@@ -260,7 +260,7 @@ def run_pipeline(train_corpus: CaptionCorpus, cfg: PipelineConfig,
 
 def score_corpus(corpus: CaptionCorpus, kb, model, emb: EmbedderConfig):
     """Per-video anomaly scores and 0/1 labels (abnormal = 1), in corpus order."""
-    scores = [y for y, _, _ in predict_videos(corpus.videos, kb, model, emb)]
+    scores = [p.y for p in predict_videos(corpus.videos, kb, model, emb)]
     labels = [1 if video.label == "abnormal" else 0 for video in corpus.videos]
     return scores, labels
 

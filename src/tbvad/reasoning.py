@@ -87,10 +87,13 @@ class Evidence:
 def attend(k_v: np.ndarray, h: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A = K_v H^T / sqrt(d) with masked token columns zeroed, and C = A H.
 
-    No checks: the training head calls this once per segment.
+    ``h`` is one (T, d) segment or a stack (..., T, d) with a mask (..., T);
+    each slice takes the matmuls a single segment does, so its A and C are
+    bit for bit the same.  No checks: the classifier head calls this once
+    per shape group.
     """
-    a = (k_v @ h.T) / math.sqrt(h.shape[1])
-    a = a * mask[None, :]
+    a = (k_v @ h.swapaxes(-1, -2)) / math.sqrt(h.shape[-1])
+    a = a * mask[..., None, :]
     return a, a @ h
 
 
@@ -141,14 +144,21 @@ def init_importance_params(d_model: int, seed: int) -> ImportanceParams:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
+    """Softmax over the last axis, so a stack (..., S) of score vectors works."""
+    shifted = z - z.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def importance_forward(c: np.ndarray, k_v: np.ndarray, f_params: ImportanceParams):
-    """Returns (z, cache) where z_s = f([C_s; K_{v,s}]) with f shared across slots."""
-    u = np.concatenate([c, k_v], axis=1)
+    """Returns (z, cache) where z_s = f([C_s; K_{v,s}]) with f shared across slots.
+
+    ``c`` is (S, d) or a stack (..., S, d) sharing the prototypes ``k_v`` (S, d).
+    """
+    d = c.shape[-1]
+    u = np.empty(c.shape[:-1] + (2 * d,))
+    u[..., :d] = c
+    u[..., d:] = k_v
     pre = u @ f_params.w1.T + f_params.b1
     hid = np.tanh(pre)
     z = hid @ f_params.w2 + f_params.b2[0]
@@ -156,19 +166,24 @@ def importance_forward(c: np.ndarray, k_v: np.ndarray, f_params: ImportanceParam
 
 
 def importance_backward(dz: np.ndarray, cache, f_params: ImportanceParams):
-    """Backprop through f; returns (dC, grads) with prototype grads discarded."""
+    """Backprop through f; returns (dC, grads, dpre) with prototype grads discarded.
+
+    ``dz`` is (S,) or a stack (..., S).  ``grads`` holds each slice's w2, b2
+    and b1 terms, shaped (..., n).  Slice i's w1 gradient is
+    ``dpre[i].T @ u[i]``, with ``u`` the first item of ``cache``; the caller
+    adds it into its accumulator, so no stack of (d, 2d) matrices is built.
+    """
     u, hid = cache
     grads = {
-        "w2": hid.T @ dz,
-        "b2": np.array([dz.sum()]),
+        "w2": (hid.swapaxes(-1, -2) @ dz[..., None])[..., 0],
+        "b2": dz.sum(axis=-1, keepdims=True),
     }
-    dhid = np.outer(dz, f_params.w2)
+    dhid = dz[..., None] * f_params.w2
     dpre = dhid * (1.0 - hid ** 2)
-    grads["w1"] = dpre.T @ u
-    grads["b1"] = dpre.sum(axis=0)
+    grads["b1"] = dpre.sum(axis=-2)
     du = dpre @ f_params.w1
-    d = u.shape[1] // 2
-    return du[:, :d], grads
+    d = u.shape[-1] // 2
+    return du[..., :d], grads, dpre
 
 
 def slot_importance(c: np.ndarray, k_v: np.ndarray,

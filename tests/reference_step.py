@@ -1,10 +1,12 @@
 """Per-video reference for the batched training step.
 
 This is the forward and backward the classifier ran before it batched the
-encoder: one encoder pass per caption segment over a (T, d) array, with
-the weight gradients of each video added into the batch total in turn.
-The oracle tests require the batched ``batch_loss_and_grads`` to equal it
-bit for bit.
+encoder and the head: one encoder pass and one head pass per caption
+segment over (T, d) arrays, with the gradients of each video added into
+the batch total in turn.  Every function it runs is its own 2-D copy,
+apart from ``_sigmoid`` and ``_zero_grads``, so it does not follow the
+code it checks.  The oracle tests require the batched
+``batch_loss_and_grads`` to equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 from tbvad.classifier import _sigmoid, _zero_grads
 from tbvad.encoder import LN_EPS, sinusoidal_positions
 from tbvad.errors import TbvadError, ValidationError
-from tbvad.reasoning import importance_backward, importance_forward, softmax
 
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
@@ -53,6 +54,35 @@ def layer_norm_backward(dy, cache):
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
     return dx, dg, db
+
+
+def softmax(z):
+    shifted = z - z.max()
+    exp = np.exp(shifted)
+    return exp / exp.sum()
+
+
+def importance_forward(c, k_v, f_params):
+    u = np.concatenate([c, k_v], axis=1)
+    pre = u @ f_params.w1.T + f_params.b1
+    hid = np.tanh(pre)
+    z = hid @ f_params.w2 + f_params.b2[0]
+    return z, (u, hid)
+
+
+def importance_backward(dz, cache, f_params):
+    u, hid = cache
+    grads = {
+        "w2": hid.T @ dz,
+        "b2": np.array([dz.sum()]),
+    }
+    dhid = np.outer(dz, f_params.w2)
+    dpre = dhid * (1.0 - hid ** 2)
+    grads["w1"] = dpre.T @ u
+    grads["b1"] = dpre.sum(axis=0)
+    du = dpre @ f_params.w1
+    d = u.shape[1] // 2
+    return du[:, :d], grads
 
 
 def _split_heads(x, nh):

@@ -6,6 +6,7 @@ import math
 import resource
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,9 +112,10 @@ class TestFuseClassify:
         params.b_v = p_v
         d = params.config.d_model
         know = KnowledgeInputs(mean_embedding=np.ones(d), prototypes=np.ones((4, d)))
-        logit, cache = _head_forward(params, p_d[None, :], np.ones(1, dtype=bool), know)
-        assert np.array_equal(cache[9], p_d) and np.array_equal(cache[10], p_v)
-        return logit
+        logits, cache = _head_forward(params, p_d[None, None, :], np.ones((1, 1), dtype=bool), know)
+        assert logits.shape == (1,)
+        assert np.array_equal(cache.p_d, p_d[None, :]) and np.array_equal(cache.p_v, p_v)
+        return logits[0]
 
     def test_zero_weights_give_half(self):
         params = self.params_with(3, np.zeros(6), np.zeros(1))
@@ -144,7 +146,8 @@ class TestFuseClassify:
         logit = sum(params.fuse_w[i] * p_d[i] for i in range(4))
         logit += sum(params.fuse_w[4 + i] * p_v[i] for i in range(4))
         logit += params.fuse_b[0]
-        got, _ = _head_forward(params, h, np.ones(3, dtype=bool), know)
+        got, _ = _head_forward(params, h[None], np.ones((1, 3), dtype=bool), know)
+        got = got[0]
         assert abs(got - logit) <= 1e-12
         assert abs(_sigmoid(got) - 1.0 / (1.0 + math.exp(-logit))) <= 1e-12
 
@@ -287,6 +290,31 @@ class TestTraining:
             batch_loss_and_grads(params, batch, know, 1e-3)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
 
+    def test_step_peak_memory(self, tiny_kb):
+        # One step at criterion-5 sizes (16 videos x 8 frames, d 64, two
+        # layers) with the default d_latent of 128 peaks near 5.25 MB under
+        # tracemalloc, in the encoder backward.  Stacking the head's per-video
+        # (out, in) gradient terms instead of adding each into its
+        # accumulator takes it to about 6.8 MB, and keeping the head's state
+        # through the encoder backward to about 5.6 MB.
+        rng = np.random.default_rng(5)
+        params = init_model_params(ModelConfig(
+            d_model=64, num_layers=2, num_heads=4, d_ff=256, d_latent=128, knowledge_dim=64,
+            k_frames=8, seed=1, active_aspects=tiny_kb.aspects))
+        params.gate[0] = 0.5
+        know = KnowledgeInputs(mean_embedding=rng.normal(size=64),
+                               prototypes=rng.normal(size=(len(tiny_kb.aspects), 64)))
+        batch = [VideoFeatures(video_id=f"v{i}", target=float(i % 2),
+                               x=rng.normal(size=(8, 64)), mask=np.ones(8, dtype=bool))
+                 for i in range(16)]
+        tracemalloc.start()
+        try:
+            batch_loss_and_grads(params, batch, know, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5e6
+
 
 class TestModelIO:
     def test_round_trip_bitwise(self, tiny_kb, tmp_path):
@@ -424,6 +452,18 @@ class TestNonFiniteTensors:
             load_model(path)
 
 
+def distinct_prototypes(know, seed=17):
+    """``know`` with its slot prototypes pulled apart.
+
+    tiny_kb's four slots hold the same sentences, so its class-agnostic
+    prototypes coincide: the importance weights come out uniform and their
+    gradients zero, and a check on them alone would not see the importance net.
+    """
+    rng = np.random.default_rng(seed)
+    return KnowledgeInputs(mean_embedding=know.mean_embedding,
+                           prototypes=know.prototypes + 0.5 * rng.normal(size=know.prototypes.shape))
+
+
 class TestBatchedStepOracle:
     """The batched step equals the per-video reference bit for bit."""
 
@@ -449,12 +489,14 @@ class TestBatchedStepOracle:
 
     @staticmethod
     def assert_matches_reference(params, batch, know):
-        loss, grads = batch_loss_and_grads(params, batch, know, 1e-3)
-        ref_loss, ref_grads = reference_step.batch_loss_and_grads(params, batch, know, 1e-3)
-        assert loss == ref_loss
-        assert grads.keys() == ref_grads.keys()
-        for name, grad in grads.items():
-            assert np.array_equal(grad, ref_grads[name]), name
+        for inputs in (know, distinct_prototypes(know)):
+            loss, grads = batch_loss_and_grads(params, batch, inputs, 1e-3)
+            ref_loss, ref_grads = reference_step.batch_loss_and_grads(params, batch, inputs, 1e-3)
+            assert loss == ref_loss
+            assert grads.keys() == ref_grads.keys()
+            for name, grad in grads.items():
+                assert np.array_equal(grad, ref_grads[name]), name
+        assert np.any(grads["importance.w1"])
 
     def test_mixed_segment_lengths(self, tiny_kb):
         params = self.params_for(tiny_kb)
@@ -475,6 +517,20 @@ class TestBatchedStepOracle:
         batch = [video_features(v, EMB, 4) for v in self.varied_videos([4, 2, 4, 3])]
         self.assert_matches_reference(params, batch, knowledge_inputs(tiny_kb))
 
+    def test_zero_slot_context_next_to_nonzero(self, tiny_kb):
+        # With no encoder layers a zero segment encodes to zero, so its slot
+        # context and norm are zero and its residual skips the normalization,
+        # while the other videos of its shape group normalize theirs.
+        params = self.params_for(tiny_kb, num_layers=0)
+        batch = [video_features(v, EMB, 4) for v in self.varied_videos([4, 2, 4, 4, 2])]
+        batch[2].x[...] = 0.0
+        know = knowledge_inputs(tiny_kb)
+        fwd = _forward(params, batch, know)
+        norms = [fwd.heads[seg.group].norm[seg.row] for seg in fwd.segments]
+        assert norms[2] == 0.0 and all(n > 0 for i, n in enumerate(norms) if i != 2)
+        assert params.gate[0] != 0.0 and len(fwd.groups) == 2
+        self.assert_matches_reference(params, batch, know)
+
 
 class TestHeadMatchesExplainPath:
     """The head's slot attention and importance are the ones explain computes."""
@@ -485,15 +541,22 @@ class TestHeadMatchesExplainPath:
                  for v in TestBatchedStepOracle.varied_videos([4, 2, 4, 3])]
         batch[2].mask[1] = False
         batch[2].x[1] = 0.0
-        fwd = _forward(params, batch, knowledge_inputs(tiny_kb))
-        protos = class_agnostic_prototypes(tiny_kb)
-        for segment in fwd.segments:
-            h, mask, _, a, c, w = segment.cache[:6]
-            att = slot_attention(protos, TokenEmbeddingSeq(vectors=h, mask=mask))
-            imp = slot_importance(att.c, protos, params.importance)
-            assert np.array_equal(att.a, a) and np.array_equal(att.c, c)
-            assert np.array_equal(imp.w, w)
-        assert not fwd.segments[2].cache[1].all()
+        know = knowledge_inputs(tiny_kb)
+        assert np.array_equal(know.prototypes, class_agnostic_prototypes(tiny_kb))
+        for inputs in (know, distinct_prototypes(know)):
+            fwd = _forward(params, batch, inputs)
+            assert len(fwd.groups) == 3
+            protos = inputs.prototypes
+            for segment in fwd.segments:
+                head, b = fwd.heads[segment.group], segment.row
+                h, mask, a, c, w = head.h[b], head.mask[b], head.a[b], head.c[b], head.w[b]
+                att = slot_attention(protos, TokenEmbeddingSeq(vectors=h, mask=mask))
+                imp = slot_importance(att.c, protos, params.importance)
+                assert np.array_equal(att.a, a) and np.array_equal(att.c, c)
+                assert np.array_equal(imp.w, w)
+            masked = fwd.segments[2]
+            assert not fwd.heads[masked.group].mask[masked.row].all()
+        assert np.ptp(w) > 0
 
 
 class TestBatchedScoringOracle:
@@ -530,11 +593,11 @@ class TestBatchedScoringOracle:
         params = TestBatchedStepOracle.params_for(tiny_kb)
         videos = self.corpus(n=20).videos
         batched = predict_videos(videos, tiny_kb, params, EMB, k_frames=5)
-        for video, (y, p_d, h_d) in zip(videos, batched):
+        for video, (y, p_d, h, mask) in zip(videos, batched):
             y1, p_d1, h_d1 = predict_video(video, tiny_kb, params, EMB, k_frames=5)
             assert y == y1 and np.array_equal(p_d, p_d1)
-            assert np.array_equal(h_d.vectors, h_d1.vectors) and np.array_equal(h_d.mask, h_d1.mask)
-            assert h_d.t == min(5, len(video.captions))
+            assert np.array_equal(h, h_d1.vectors) and np.array_equal(mask, h_d1.mask)
+            assert h.shape[0] == min(5, len(video.captions))
 
     def test_cold_remote_score_fetches_distinct_tokens_once(self, tmp_path):
         corpus = self.corpus(marker=True)

@@ -98,6 +98,24 @@ class TestLoadCaptions:
         assert len(corpus) == 100
         assert {v.video_id: len(v.captions) for v in corpus.videos} == rng_counts
 
+    def test_one_video_load_keeps_that_video_and_every_check(self, tmp_path):
+        records = [caption_rec(f"v{v}", i, label=("normal", "abnormal")[v % 2],
+                               text=f"Frame {i} of video {v}.")
+                   for i in (3, 0, 2) for v in range(4)]
+        path = tmp_path / "caps.jsonl"
+        write_jsonl(path, records)
+        full = load_captions(path)
+        one = load_captions(path, video_id="v1")
+        assert one.videos == (full.video("v1"),) and one.source_tag == full.source_tag
+        assert load_captions(path, video_id="v9").videos == ()
+        # A bad line of another video still fails the load, with its message.
+        for bad, message in ((caption_rec("v2", 0), r":13: duplicate"),
+                             (caption_rec("v2", 7, text=" "), r":13: .*empty text"),
+                             (caption_rec("v3", 7, label="normal"), r":13: .*disagrees")):
+            write_jsonl(path, records + [bad])
+            with pytest.raises(ValidationError, match=message):
+                load_captions(path, video_id="v1")
+
     def test_round_trip_through_save(self, tmp_path, small_corpus):
         path = tmp_path / "rt.jsonl"
         save_captions(small_corpus, path)

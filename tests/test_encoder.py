@@ -163,16 +163,16 @@ class TestGelu:
 
 
 def head_projection(vectors, mask, w_d, b_d):
-    """P_d of the classifier head on one encoded segment, gate at zero."""
+    """P_d of the classifier head on one encoded segment, as a group of one, gate at zero."""
     d_latent, d = w_d.shape
     cfg = ModelConfig(d_model=d, num_layers=0, num_heads=1, d_ff=d, d_latent=d_latent,
                       knowledge_dim=d, k_frames=4, seed=0, active_aspects=("object",))
     params = init_model_params(cfg)
     params.encoder.w_d, params.encoder.b_d = w_d, b_d
     know = KnowledgeInputs(mean_embedding=np.zeros(d), prototypes=np.ones((1, d)))
-    _, cache = _head_forward(params, np.asarray(vectors, dtype=np.float64),
-                             np.asarray(mask, dtype=bool), know)
-    return cache[9]
+    _, cache = _head_forward(params, np.asarray(vectors, dtype=np.float64)[None],
+                             np.asarray(mask, dtype=bool)[None], know)
+    return cache.p_d[0]
 
 
 class TestProjectDescription:

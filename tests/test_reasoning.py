@@ -16,6 +16,7 @@ from tbvad.reasoning import (
     ImportanceParams,
     SlotImportance,
     attach_rationale,
+    attend,
     build_record,
     counterfactual_margins,
     generate_explanation,
@@ -144,7 +145,8 @@ class TestSlotImportance:
         r = rng.normal(size=4)
 
         z, cache = importance_forward(c, k_v, f)
-        dc, grads = importance_backward(r, cache, f)
+        dc, grads, dpre = importance_backward(r, cache, f)
+        grads["w1"] = dpre.T @ cache[0]
 
         eps = 1e-6
         for name, arr in f.tensors().items():
@@ -166,6 +168,36 @@ class TestSlotImportance:
             c[idx] = orig
             fd = float(r @ (zp - zm)) / (2 * eps)
             assert abs(fd - dc[idx]) <= 1e-5 * max(1.0, abs(fd))
+
+
+class TestStackedSlices:
+    """On a stack of segments each slice gets the numbers its own 2-D call gives."""
+
+    def test_each_slice_equals_its_own_call(self):
+        rng = np.random.default_rng(11)
+        d, s, t, b = 6, 4, 5, 3
+        f = init_importance_params(d, seed=11)
+        k_v = rng.normal(size=(s, d))
+        h = rng.normal(size=(b, t, d))
+        mask = np.ones((b, t), dtype=bool)
+        mask[1, 3:] = False
+        h[1, 3:] = 0.0
+        dz = rng.normal(size=(b, s))
+        a, c = attend(k_v, h, mask)
+        z, cache = importance_forward(c, k_v, f)
+        w = softmax(z)
+        dc, grads, dpre = importance_backward(dz, cache, f)
+        for i in range(b):
+            a1, c1 = attend(k_v, h[i], mask[i])
+            z1, cache1 = importance_forward(c1, k_v, f)
+            dc1, grads1, dpre1 = importance_backward(dz[i], cache1, f)
+            assert np.array_equal(a[i], a1) and np.array_equal(c[i], c1)
+            assert np.array_equal(z[i], z1) and np.array_equal(w[i], softmax(z1))
+            assert np.array_equal(cache[0][i], cache1[0]) and np.array_equal(cache[1][i], cache1[1])
+            assert np.array_equal(dc[i], dc1) and np.array_equal(dpre[i], dpre1)
+            assert grads.keys() == grads1.keys()
+            for name, grad in grads1.items():
+                assert np.array_equal(grads[name][i], grad), name
 
 
 def retrieval_oracle(h_bar, kb, class_v, w, k):
