@@ -14,7 +14,8 @@ workers.
 with the C scanner that ``json.loads`` itself ends in, falling back to
 ``json.loads`` for any line the scanner does not consume whole.  It accepts
 and rejects exactly what per-line ``json.loads`` plus ``isinstance`` checks
-did, with the same messages.
+did, with the same messages.  Asked for one video, it still checks every
+line, but builds a ``Caption`` only for that video's lines.
 """
 
 from __future__ import annotations
@@ -46,14 +47,17 @@ class Caption:
     text: str
 
     def __post_init__(self):
-        if self.frame_index < 0:
-            raise ValidationError(
-                f"caption for video {self.video_id!r} has negative frame_index {self.frame_index}"
-            )
-        if not self.text.strip():
-            raise ValidationError(
-                f"caption for video {self.video_id!r} frame {self.frame_index} has empty text"
-            )
+        if (error := _caption_error(self.video_id, self.frame_index, self.text)) is not None:
+            raise ValidationError(error)
+
+
+def _caption_error(video_id: str, frame_index: int, text: str) -> str | None:
+    """Why these fields do not make a ``Caption``, or None if they do."""
+    if frame_index < 0:
+        return f"caption for video {video_id!r} has negative frame_index {frame_index}"
+    if not text.strip():
+        return f"caption for video {video_id!r} frame {frame_index} has empty text"
+    return None
 
 
 @dataclass(frozen=True)
@@ -144,17 +148,17 @@ def load_captions(path: str | Path, source_tag: str | None = None, *,
     frame_index) pairs, label disagreement within a video, or an empty file.
 
     With ``video_id``, the corpus keeps that video only (or none, if the
-    file lacks it).  Every line is still decoded and checked, but the other
-    videos' captions are dropped as soon as they pass, so a caller after one
-    video does not hold the whole file.
+    file lacks it).  Every line is still decoded and checked, the ``Caption``
+    rule included, but no ``Caption`` is built for the other videos' lines;
+    only their labels and frame indices are kept, for the duplicate and
+    label checks.
     """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"caption file does not exist: {path}")
 
-    per_video: dict[str, list[Caption]] = {}
-    labels: dict[str, str] = {}
-    seen: set[tuple[str, int]] = set()
+    # Per video: its label, the frame indices seen so far and the captions kept.
+    videos: dict[str, tuple[str, set[int], list[Caption]]] = {}
     try:
         with path.open("r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -178,35 +182,34 @@ def load_captions(path: str | Path, source_tag: str | None = None, *,
                     raise ValidationError(f"{path}:{lineno}: {_record_error(rec)}")
                 if label not in LABELS:
                     raise ValidationError(f"{path}:{lineno}: label must be one of {LABELS}, got {label!r}")
-                if (vid, fidx) in seen:
+                entry = videos.get(vid)
+                if entry is None:
+                    entry = videos[vid] = (label, set(), [])
+                elif fidx in entry[1]:
                     raise ValidationError(f"{path}:{lineno}: duplicate (video_id, frame_index) = ({vid!r}, {fidx})")
-                seen.add((vid, fidx))
-                if vid in labels and labels[vid] != label:
+                elif entry[0] != label:
                     raise ValidationError(f"{path}:{lineno}: label {label!r} disagrees with earlier "
-                                          f"label {labels[vid]!r} for video {vid!r}")
-                labels[vid] = label
-                try:
-                    cap = Caption(video_id=vid, frame_index=fidx, text=text)
-                except ValidationError as e:
-                    raise ValidationError(f"{path}:{lineno}: {e}") from e
+                                          f"label {entry[0]!r} for video {vid!r}")
+                entry[1].add(fidx)
+                if (error := _caption_error(vid, fidx, text)) is not None:
+                    raise ValidationError(f"{path}:{lineno}: {error}")
                 if video_id is None or vid == video_id:
-                    per_video.setdefault(vid, []).append(cap)
+                    entry[2].append(Caption(vid, fidx, text))
     except UnicodeDecodeError as e:
         raise ValidationError(_utf8_error(path)) from e
 
-    # Every non-blank line either raised or added one (video_id, frame_index) pair.
-    if not seen:
+    # Every non-blank line either raised or added a frame to its video.
+    if not videos:
         raise ValidationError(f"caption file is empty: {path}")
 
-    videos = tuple(
-        VideoRecord(
-            video_id=vid,
-            label=labels[vid],
-            captions=tuple(sorted(caps, key=lambda c: c.frame_index)),
-        )
-        for vid, caps in per_video.items()
+    return CaptionCorpus(
+        videos=tuple(
+            VideoRecord(video_id=vid, label=label,
+                        captions=tuple(sorted(caps, key=lambda c: c.frame_index)))
+            for vid, (label, _, caps) in videos.items() if caps
+        ),
+        source_tag=source_tag if source_tag is not None else str(path),
     )
-    return CaptionCorpus(videos=videos, source_tag=source_tag if source_tag is not None else str(path))
 
 
 def save_captions(corpus: CaptionCorpus, path: str | Path) -> None:

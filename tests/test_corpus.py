@@ -16,6 +16,7 @@ from tbvad.corpus import (
     sentence_split,
 )
 from tbvad.errors import ValidationError
+from tbvad.synthetic import SyntheticConfig, generate_corpus
 
 import reference_summarizer
 from conftest import make_video
@@ -111,10 +112,28 @@ class TestLoadCaptions:
         # A bad line of another video still fails the load, with its message.
         for bad, message in ((caption_rec("v2", 0), r":13: duplicate"),
                              (caption_rec("v2", 7, text=" "), r":13: .*empty text"),
+                             (caption_rec("v2", -1), r":13: .*negative frame_index"),
                              (caption_rec("v3", 7, label="normal"), r":13: .*disagrees")):
             write_jsonl(path, records + [bad])
             with pytest.raises(ValidationError, match=message):
                 load_captions(path, video_id="v1")
+
+    def test_one_video_load_builds_only_that_videos_captions(self, tmp_path, monkeypatch):
+        corpus, _ = generate_corpus(SyntheticConfig(n_videos=300, seed=5, source_tag="count"))
+        path = tmp_path / "caps.jsonl"
+        save_captions(corpus, path)
+        built = []
+
+        class CountingCaption(Caption):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr("tbvad.corpus.Caption", CountingCaption)
+        target = corpus.videos[150]
+        one = load_captions(path, video_id=target.video_id)
+        assert [v.video_id for v in one.videos] == [target.video_id]
+        assert len(built) == len(target.captions) == len(one.videos[0].captions)
 
     def test_round_trip_through_save(self, tmp_path, small_corpus):
         path = tmp_path / "rt.jsonl"

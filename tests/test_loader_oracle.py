@@ -3,11 +3,12 @@
 ``reference_loader.load_captions`` is the loader as it was before it decoded
 lines with the JSON module's C scanner.  On every generated file both must
 return equal corpora, or raise the same exception type with the same
-message.  The files mix clean records with the inputs where a scanner path
-could part ways with ``json.loads``: line endings, blank and padded lines, a
-BOM, Unicode line breaks inside a text, odd ``frame_index`` values,
-duplicate keys, trailing data, non-object records and bytes that are not
-UTF-8.
+message; a load of one video must keep that video of the reference's corpus,
+or raise the same.  The files mix clean records with the inputs where a
+scanner path could part ways with ``json.loads``: line endings, blank and
+padded lines, a BOM, Unicode line breaks inside a text, odd ``frame_index``
+values, duplicate keys, trailing data, non-object records and bytes that are
+not UTF-8.
 """
 
 from __future__ import annotations
@@ -133,7 +134,16 @@ CLEAN = (b'{"video_id": "v1", "frame_index": 0, "label": "normal", "text": "A ma
 def test_loader_matches_reference(tmp_path, data):
     path = tmp_path / "caps.jsonl"
     path.write_bytes(data)
-    assert outcome(load_captions, path) == outcome(reference_loader.load_captions, path)
+    expected = outcome(reference_loader.load_captions, path)
+    assert outcome(load_captions, path) == expected
+    # A one-video load keeps that video of the full result, or raises the same error.
+    for vid in [*VIDEO_LABELS, "v9"]:
+        if isinstance(expected, CaptionCorpus):
+            want = CaptionCorpus(videos=tuple(v for v in expected.videos if v.video_id == vid),
+                                 source_tag=expected.source_tag)
+        else:
+            want = expected
+        assert outcome(lambda p: load_captions(p, video_id=vid), path) == want
 
 
 def test_loader_streams_the_file(tmp_path):
