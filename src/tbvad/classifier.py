@@ -62,6 +62,10 @@ from .remote import VectorCache
 MODEL_MAGIC = b"TBVM"
 MODEL_FORMAT_VERSION = 1
 
+# Smallest allowed value of each integer field of ModelConfig.
+_CONFIG_INT_MINIMA = {"d_model": 1, "num_layers": 0, "num_heads": 1, "d_ff": 1, "d_latent": 1,
+                      "knowledge_dim": 1, "k_frames": 1, "seed": 0}
+
 
 @dataclass
 class TrainConfig:
@@ -72,7 +76,6 @@ class TrainConfig:
     batch_size: int = 16
     seed: int = 0
     l2_weight: float = 1e-4
-    freeze_importance_net: bool = False
     k_frames: int = 8
     num_layers: int = 2
     num_heads: int = 4
@@ -88,6 +91,12 @@ class TrainConfig:
             raise ValidationError("batch_size must be >= 1")
         if self.l2_weight < 0:
             raise ValidationError("l2_weight must be >= 0")
+        # The model header's minima, for the fields this config has; d_ff is
+        # ff_multiple times d_model.
+        for name, minimum in _CONFIG_INT_MINIMA.items():
+            name = "ff_multiple" if name == "d_ff" else name
+            if getattr(self, name, minimum) < minimum:
+                raise ValidationError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -489,15 +498,9 @@ def batch_loss_and_grads(params: ModelParams, batch: list[VideoFeatures],
     return total, grads
 
 
-FROZEN_IMPORTANCE_PREFIXES = ("importance.", "gate")
-
-
-def sgd_update(params: ModelParams, grads: dict[str, np.ndarray], lr: float,
-               freeze_importance: bool = False) -> None:
+def sgd_update(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> None:
     """In-place step; parameters stay on the float32 grid for exact round-trips."""
     for name, arr in params.tensors().items():
-        if freeze_importance and name.startswith(FROZEN_IMPORTANCE_PREFIXES):
-            continue
         arr[...] = f32_exact(arr - lr * grads[name])
 
 
@@ -582,7 +585,7 @@ def train(train_corpus: CaptionCorpus, kb: KnowledgeBase, cfg: TrainConfig,
                 raise TbvadError(f"training aborted at epoch {epoch}: {e}") from e
             if not math.isfinite(loss):
                 raise TbvadError(f"non-finite training loss at epoch {epoch}")
-            sgd_update(params, grads, cfg.learning_rate, cfg.freeze_importance_net)
+            sgd_update(params, grads, cfg.learning_rate)
             epoch_loss += loss
             n_batches += 1
         if history is not None:
@@ -605,8 +608,8 @@ class Prediction(NamedTuple):
     mask: np.ndarray
 
 
-def predict_videos(videos, kb: KnowledgeBase, model: ModelParams, emb: EmbedderConfig,
-                   k_frames: int | None = None) -> list[Prediction]:
+def predict_videos(videos, kb: KnowledgeBase, model: ModelParams,
+                   emb: EmbedderConfig) -> list[Prediction]:
     """Score videos in order; returns one Prediction per video.
 
     The checks, the knowledge inputs and the embedder are set up once for
@@ -630,9 +633,8 @@ def predict_videos(videos, kb: KnowledgeBase, model: ModelParams, emb: EmbedderC
             f"knowledge aspects {kb.aspects} do not match the model's "
             f"{model.config.active_aspects}"
         )
-    k_frames = k_frames if k_frames is not None else model.config.k_frames
     know = knowledge_inputs(kb)
-    feats = videos_features(videos, emb, k_frames, kb.take_embed_cache())
+    feats = videos_features(videos, emb, model.config.k_frames, kb.take_embed_cache())
     out = []
     for start in range(0, len(feats), PREDICT_CHUNK):
         fwd = _forward(model, feats[start:start + PREDICT_CHUNK], know)
@@ -644,9 +646,9 @@ def predict_videos(videos, kb: KnowledgeBase, model: ModelParams, emb: EmbedderC
 
 
 def predict_video(video: VideoRecord, kb: KnowledgeBase, model: ModelParams,
-                  emb: EmbedderConfig, k_frames: int | None = None):
+                  emb: EmbedderConfig):
     """Score one video for reasoning; returns (y, P_d, H_d) with H_d a checked sequence."""
-    y, p_d, h, mask = predict_videos([video], kb, model, emb, k_frames)[0]
+    y, p_d, h, mask = predict_videos([video], kb, model, emb)[0]
     return y, p_d, TokenEmbeddingSeq(vectors=h, mask=mask.copy())
 
 
@@ -672,11 +674,6 @@ def model_digest(model: ModelParams) -> str:
 def save_model(model: ModelParams, path) -> None:
     with open(path, "wb") as fh:
         fh.write(serialize_model(model))
-
-
-# Smallest allowed value of each integer field of ModelConfig.
-_CONFIG_INT_MINIMA = {"d_model": 1, "num_layers": 0, "num_heads": 1, "d_ff": 1, "d_latent": 1,
-                      "knowledge_dim": 1, "k_frames": 1, "seed": 0}
 
 
 def _is_int(value) -> bool:
@@ -716,6 +713,14 @@ def _is_tensor_entry(entry) -> bool:
             and all(_is_int(n) and n >= 0 for n in entry["shape"]))
 
 
+def _tensor_bytes(cfg: ModelConfig) -> int:
+    """Bytes of the float32 tensor blocks of a model with this config, without building it."""
+    d, d_ff = cfg.d_model, cfg.d_ff
+    layer = 4 * d * d + 2 * d * d_ff + d_ff + 5 * d
+    head = cfg.d_latent * (d + cfg.knowledge_dim + 4) + 2 * d * d + 2 * d + 3
+    return 4 * (cfg.num_layers * layer + head)
+
+
 def load_model(path) -> ModelParams:
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != MODEL_MAGIC:
@@ -739,6 +744,14 @@ def load_model(path) -> ModelParams:
     entries = header.get("tensors")
     if not (isinstance(entries, list) and all(_is_tensor_entry(e) for e in entries)):
         raise ModelFormatError("header tensor list is not a list of {name, shape} entries")
+    # Checked before any tensor is built, so a header's dims cannot make
+    # the load allocate more than the file holds.
+    end = header_end + _tensor_bytes(cfg)
+    if len(data) < end:
+        raise ModelFormatError(f"truncated tensor blocks: the header config needs {end} bytes",
+                               offset=len(data))
+    if len(data) > end:
+        raise ModelFormatError("trailing bytes after final tensor block", offset=end)
     try:
         model = init_model_params(cfg)
     except ValidationError as e:
@@ -746,24 +759,19 @@ def load_model(path) -> ModelParams:
     offset = header_end
     tensors = model.tensors()
     listed = {t["name"]: tuple(t["shape"]) for t in entries}
-    if set(listed) != set(tensors):
+    if len(entries) != len(tensors) or set(listed) != set(tensors):
         raise ModelFormatError("tensor list does not match the model architecture")
     for entry in entries:
         name, shape = entry["name"], tuple(entry["shape"])
         arr = tensors[name]
         if arr.shape != shape:
             raise ModelFormatError(f"tensor {name} has shape {shape}, expected {arr.shape}")
-        nbytes = 4 * int(np.prod(shape, dtype=np.int64)) if shape else 4
-        if offset + nbytes > len(data):
-            raise ModelFormatError(f"truncated tensor block {name}", offset=offset)
-        block = np.frombuffer(data, dtype="<f4", count=nbytes // 4, offset=offset)
+        block = np.frombuffer(data, dtype="<f4", count=arr.size, offset=offset)
         finite = np.isfinite(block)
         if not finite.all():
             bad = int(np.argmin(finite))
             raise ModelFormatError(f"tensor {name} holds a non-finite value ({block[bad]})",
                                    offset=offset + 4 * bad)
         arr[...] = block.reshape(shape).astype(np.float64)
-        offset += nbytes
-    if offset != len(data):
-        raise ModelFormatError("trailing bytes after final tensor block", offset=offset)
+        offset += 4 * arr.size
     return model

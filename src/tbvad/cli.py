@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .classifier import TrainConfig, load_model, model_digest, predict_video, save_model, train
 from .corpus import group_by_class, load_captions
-from .embedding import EmbedderConfig, mean_pool
+from .embedding import KNOWLEDGE_MAX_TOKENS, EmbedderConfig, mean_pool
 from .errors import TbvadError, ValidationError
 from .evaluation import (
     MetricsReport,
@@ -68,14 +68,11 @@ CONFIG_SCHEMA = {
     "topk": int,
     "aspects": list,
     "embedder": {
-        "backend": str, "d": int, "max_tokens": int, "knowledge_max_tokens": int,
-        "endpoint": str, "cache_dir": str, "max_parallel": int,
+        "d": int, "max_tokens": int, "knowledge_max_tokens": int,
+        "cache_dir": str, "max_parallel": int,
     },
     "encoder": {"num_layers": int, "num_heads": int, "d_latent": int, "ff_multiple": int},
-    "train": {
-        "learning_rate": float, "epochs": int, "batch_size": int,
-        "l2_weight": float, "freeze_importance_net": bool,
-    },
+    "train": {"learning_rate": float, "epochs": int, "batch_size": int, "l2_weight": float},
     "endpoints": {"embed": str, "generate": str},
     "prompts": {aspect: str for aspect in ASPECTS},
     "synthetic": {
@@ -85,17 +82,20 @@ CONFIG_SCHEMA = {
     },
 }
 
+# The seed, k_frames, encoder and train keys are TrainConfig fields, so
+# their defaults are read from it.
 DEFAULT_CONFIG = {
-    "seed": 0,
-    "k_frames": 8,
+    "seed": TrainConfig.seed,
+    "k_frames": TrainConfig.k_frames,
     "topk": 2,
     "aspects": list(ASPECTS),
-    "embedder": {"backend": "hash", "d": 64, "max_tokens": 512, "knowledge_max_tokens": 4096},
-    "encoder": {"num_layers": 2, "num_heads": 4, "d_latent": 128, "ff_multiple": 4},
-    "train": {"learning_rate": 0.25, "epochs": 60, "batch_size": 16, "l2_weight": 1e-4,
-              "freeze_importance_net": False},
+    "embedder": {"d": EmbedderConfig.d, "max_tokens": EmbedderConfig.max_tokens,
+                 "knowledge_max_tokens": KNOWLEDGE_MAX_TOKENS,
+                 "max_parallel": EmbedderConfig.max_parallel},
+    "encoder": {key: getattr(TrainConfig, key) for key in CONFIG_SCHEMA["encoder"]},
+    "train": {key: getattr(TrainConfig, key) for key in CONFIG_SCHEMA["train"]},
     "endpoints": {},
-    "synthetic": {"n_videos": 200, "test_videos": 100},
+    "synthetic": {"test_videos": 100},
 }
 
 
@@ -146,9 +146,9 @@ def resolve_config(args) -> dict:
     if getattr(args, "aspects", None):
         cfg["aspects"] = [a.strip() for a in args.aspects.split(",") if a.strip()]
     if getattr(args, "embed_endpoint", None):
-        cfg.setdefault("endpoints", {})["embed"] = args.embed_endpoint
+        cfg["endpoints"]["embed"] = args.embed_endpoint
     if getattr(args, "gen_endpoint", None):
-        cfg.setdefault("endpoints", {})["generate"] = args.gen_endpoint
+        cfg["endpoints"]["generate"] = args.gen_endpoint
     if getattr(args, "topk", None) is not None:
         cfg["topk"] = args.topk
     validate_aspects(cfg["aspects"])
@@ -162,26 +162,19 @@ def _cache_dir(cfg: dict) -> str | None:
 
 
 def _embedder_configs(cfg: dict) -> tuple[EmbedderConfig, EmbedderConfig]:
+    """The description and knowledge embedders: remote when an embed endpoint is set."""
     emb_cfg = cfg["embedder"]
-    endpoint = cfg.get("endpoints", {}).get("embed") or emb_cfg.get("endpoint")
-    backend = "remote" if endpoint else emb_cfg.get("backend", "hash")
-    common = dict(backend=backend, d=emb_cfg["d"], endpoint=endpoint,
+    endpoint = cfg["endpoints"].get("embed")
+    common = dict(backend="remote" if endpoint else "hash", d=emb_cfg["d"], endpoint=endpoint,
                   cache_dir=_cache_dir(cfg), seed=cfg["seed"],
-                  max_parallel=emb_cfg.get("max_parallel", 4))
+                  max_parallel=emb_cfg["max_parallel"])
     desc = EmbedderConfig(max_tokens=emb_cfg["max_tokens"], **common)
-    know = EmbedderConfig(max_tokens=emb_cfg.get("knowledge_max_tokens", 4096), **common)
+    know = EmbedderConfig(max_tokens=emb_cfg["knowledge_max_tokens"], **common)
     return desc, know
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    enc, tr = cfg["encoder"], cfg["train"]
-    return TrainConfig(
-        learning_rate=tr["learning_rate"], epochs=tr["epochs"], batch_size=tr["batch_size"],
-        seed=cfg["seed"], l2_weight=tr["l2_weight"],
-        freeze_importance_net=tr.get("freeze_importance_net", False),
-        k_frames=cfg["k_frames"], num_layers=enc["num_layers"], num_heads=enc["num_heads"],
-        d_latent=enc["d_latent"], ff_multiple=enc["ff_multiple"],
-    )
+    return TrainConfig(seed=cfg["seed"], k_frames=cfg["k_frames"], **cfg["encoder"], **cfg["train"])
 
 
 def _pipeline_config(cfg: dict, summarizer=None, prompts=None) -> PipelineConfig:
@@ -192,17 +185,16 @@ def _pipeline_config(cfg: dict, summarizer=None, prompts=None) -> PipelineConfig
 
 
 def _summarizer(cfg: dict, args):
-    gen_endpoint = cfg.get("endpoints", {}).get("generate")
+    gen_endpoint = cfg["endpoints"].get("generate")
     if getattr(args, "extractive", False) or not gen_endpoint:
         return ExtractiveSummarizer()
     return RemoteGenerator(gen_endpoint, cache_dir=_cache_dir(cfg))
 
 
 def _prompts(cfg: dict) -> dict[str, AspectPrompt]:
-    if "prompts" in cfg and cfg["prompts"]:
-        return {a: AspectPrompt(aspect=a, template=cfg["prompts"][a])
-                for a in ASPECTS if a in cfg["prompts"]}
-    return default_prompts()
+    """The shipped templates, each replaced by the config's prompt for its aspect, if any."""
+    custom = {a: AspectPrompt(aspect=a, template=t) for a, t in cfg.get("prompts", {}).items()}
+    return {**default_prompts(), **custom}
 
 
 def _require(args, *names) -> None:
@@ -304,17 +296,10 @@ def cmd_gen_synth(args) -> int:
     cfg = resolve_config(args)
     _require(args, "out")
     out_dir = Path(args.out)
-    syn = cfg["synthetic"]
-    base = dict(
-        n_videos=syn.get("n_videos", 200),
-        frames_per_video=syn.get("frames_per_video", 12),
-        anomaly_ratio=syn.get("anomaly_ratio", 0.5),
-        anomaly_frame_ratio=syn.get("anomaly_frame_ratio", 0.5),
-        normal_noise_rate=syn.get("normal_noise_rate", 0.03),
-    )
-    if "planted_aspects" in syn:
-        base["planted_aspects"] = tuple(syn["planted_aspects"])
-    domain = syn.get("domain", "a")
+    # The keys left in ``base`` are SyntheticConfig fields.
+    base = dict(cfg["synthetic"])
+    domain = base.pop("domain", "a")
+    test_videos = base.pop("test_videos")
     with _output_lock(out_dir):
         train_path = out_dir / "train.jsonl"
         test_path = out_dir / "test.jsonl"
@@ -324,7 +309,7 @@ def cmd_gen_synth(args) -> int:
         write_corpus(train_cfg, train_path, manifest_path)
         test_cfg = domain_config(domain, seed=cfg["seed"] + 1,
                                  source_tag=f"synth-{domain}-test",
-                                 **{**base, "n_videos": syn.get("test_videos", 100)})
+                                 **{**base, "n_videos": test_videos})
         write_corpus(test_cfg, test_path, out_dir / "manifest_test.json")
         _append_run_log(out_dir, "gen-synth", cfg, {},
                         [str(train_path), str(test_path), str(manifest_path)])
@@ -417,7 +402,7 @@ def cmd_explain(args) -> int:
     weights = {aspect: float(imp.w[i]) for i, aspect in enumerate(kb.aspects)}
     record = build_record(video.video_id, y, weights, evidences, margins,
                           model_digest=model_digest(model))
-    gen_endpoint = cfg.get("endpoints", {}).get("generate")
+    gen_endpoint = cfg["endpoints"].get("generate")
     backend = None
     if gen_endpoint:
         backend = RemoteGenerator(gen_endpoint, cache_dir=_cache_dir(cfg))

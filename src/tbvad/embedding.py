@@ -43,6 +43,7 @@ from .remote import VectorCache, default_cache_dir, post_json
 logger = logging.getLogger(__name__)
 
 MAX_BATCH_TEXTS = 64
+KNOWLEDGE_MAX_TOKENS = 4096
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -57,7 +58,7 @@ class EmbedderConfig:
     """Settings for one embedding role (descriptions or knowledge).
 
     ``max_tokens`` encodes the per-role token budget (512 for descriptions,
-    4096 for knowledge by default).  The remote backend requires ``endpoint``.
+    KNOWLEDGE_MAX_TOKENS for knowledge).  The remote backend requires ``endpoint``.
     """
 
     backend: str = "hash"

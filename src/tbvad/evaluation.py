@@ -21,7 +21,7 @@ import numpy as np
 # (perfbench/spans.py) wraps it under this module's name, so it stays bound.
 from .classifier import TrainConfig, predict_video, predict_videos, train  # noqa: F401
 from .corpus import CaptionCorpus, group_by_class
-from .embedding import EmbedderConfig, tokenize
+from .embedding import KNOWLEDGE_MAX_TOKENS, EmbedderConfig, tokenize
 from .errors import TbvadError, ValidationError
 from .knowledge import ASPECTS, build_knowledge, default_prompts, validate_aspects
 
@@ -232,15 +232,14 @@ class PipelineConfig:
         })
 
 
-def make_pipeline_config(d: int = 64, seed: int = 0, desc_max_tokens: int = 512,
-                         know_max_tokens: int = 4096, aspects=None,
+def make_pipeline_config(d: int = EmbedderConfig.d, seed: int = 0, aspects=None,
                          **train_overrides) -> PipelineConfig:
     """Desk-scale defaults with the hash embedder shared across both roles."""
-    emb = EmbedderConfig(backend="hash", d=d, max_tokens=desc_max_tokens, seed=seed)
-    know_emb = EmbedderConfig(backend="hash", d=d, max_tokens=know_max_tokens, seed=seed)
+    emb = EmbedderConfig(d=d, seed=seed)
     train_overrides.setdefault("seed", seed)
     return PipelineConfig(
-        emb=emb, know_emb=know_emb, train=TrainConfig(**train_overrides),
+        emb=emb, know_emb=dataclasses.replace(emb, max_tokens=KNOWLEDGE_MAX_TOKENS),
+        train=TrainConfig(**train_overrides),
         aspects=validate_aspects(aspects) if aspects else ASPECTS,
     )
 
@@ -280,7 +279,7 @@ def frame_level_scores(corpus: CaptionCorpus, scores: list[float]):
 
 
 def evaluate_model(test_corpus: CaptionCorpus, kb, model, emb: EmbedderConfig,
-                   threshold: float = 0.5, digest: str = "") -> MetricsReport:
+                   digest: str = "") -> MetricsReport:
     """Score a corpus and report AUC/AP/ACC (AUC and AP need both classes)."""
     scores, labels = score_corpus(test_corpus, kb, model, emb)
     n_pos = sum(labels)
@@ -289,8 +288,7 @@ def evaluate_model(test_corpus: CaptionCorpus, kb, model, emb: EmbedderConfig,
         dataset_tag=test_corpus.source_tag,
         auc=roc_auc(scores, labels) if 0 < n_pos < len(labels) else None,
         ap=average_precision(scores, labels) if n_pos > 0 else None,
-        acc=accuracy(scores, labels, threshold),
-        threshold=threshold, n_pos=n_pos, n_neg=n_neg, config_digest=digest,
+        acc=accuracy(scores, labels), n_pos=n_pos, n_neg=n_neg, config_digest=digest,
     )
 
 
@@ -332,13 +330,12 @@ def ablate_slots(train_corpus: CaptionCorpus, test_corpus: CaptionCorpus,
 
 
 def cross_eval(train_corpus: CaptionCorpus, test_corpus: CaptionCorpus,
-               cfg: PipelineConfig, allow_same_tag: bool = False) -> MetricsReport:
+               cfg: PipelineConfig) -> MetricsReport:
     """Train (knowledge included) on one domain, evaluate on another.
 
-    Knowledge is built from the training domain only.  Same source tags are
-    rejected unless the self-check guard is explicitly disabled.
+    Knowledge is built from the training domain only; same source tags are rejected.
     """
-    if train_corpus.source_tag == test_corpus.source_tag and not allow_same_tag:
+    if train_corpus.source_tag == test_corpus.source_tag:
         raise ValidationError(
             f"cross_eval requires distinct source tags, both are {train_corpus.source_tag!r}"
         )

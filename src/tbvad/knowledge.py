@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CaptionCorpus, sentence_split
-from .embedding import EmbedderConfig, make_embedder, tokenize
+from .embedding import KNOWLEDGE_MAX_TOKENS, EmbedderConfig, make_embedder, tokenize
 from .errors import TbvadError, ValidationError
 from .remote import TextCache, VectorCache, default_cache_dir, post_json
 
@@ -37,7 +37,7 @@ EXTRACTIVE_TOP_SENTENCES = 10
 ASPECT_KEYWORD_BOOST = 2.0
 OFF_ASPECT_WEIGHT = 0.02
 SUMMARY_CHUNK_TOKENS = 3000
-DEFAULT_MAX_NEW_TOKENS = 512
+MAX_NEW_TOKENS = 512
 
 # Generic per-aspect cue terms for the extractive fallback ranking.  The
 # "-ing" suffix heuristic below additionally favors action terms.
@@ -66,7 +66,9 @@ ASPECT_KEYWORDS: dict[str, frozenset[str]] = {
 
 
 def validate_aspects(aspects) -> tuple[str, ...]:
-    """Normalize an aspect subset to canonical order, rejecting unknowns."""
+    """Normalize an aspect subset to canonical order, rejecting non-strings and unknowns."""
+    if not all(isinstance(a, str) for a in aspects):
+        raise ValidationError(f"aspects must be strings, got {list(aspects)!r}")
     got = set(aspects)
     unknown = got - set(ASPECTS)
     if unknown:
@@ -191,25 +193,20 @@ class ExtractiveSummarizer:
     every distinct term once and scores every distinct sentence once.
     """
 
-    def __init__(self, top_sentences: int = EXTRACTIVE_TOP_SENTENCES,
-                 keyword_boost: float = ASPECT_KEYWORD_BOOST,
-                 off_aspect_weight: float = OFF_ASPECT_WEIGHT):
-        self.top_sentences = top_sentences
-        self.keyword_boost = keyword_boost
-        self.off_aspect_weight = off_aspect_weight
+    def __init__(self):
         # One entry per class: a build summarizes each class's aspects in turn.
         self._stats = lru_cache(maxsize=len(CLASSES))(_SentenceStats)
 
     def _term_boost(self, term: str, aspect: str) -> float:
         if term in ASPECT_KEYWORDS[aspect]:
-            return self.keyword_boost
+            return ASPECT_KEYWORD_BOOST
         if aspect == "action" and term.endswith("ing") and len(term) > 4:
             # Gerund heuristic, unless the term is another aspect's cue
             # (e.g. "setting", "building", "lighting" belong to environment).
             if not any(term in ASPECT_KEYWORDS[other] for other in ASPECT_KEYWORDS
                        if other != aspect):
-                return self.keyword_boost
-        return self.off_aspect_weight
+                return ASPECT_KEYWORD_BOOST
+        return OFF_ASPECT_WEIGHT
 
     def summarize(self, prompt: AspectPrompt, captions: list[str]) -> str:
         stats = self._stats(tuple(captions))
@@ -227,7 +224,7 @@ class ExtractiveSummarizer:
         scores = _mean_term_weights(weights, stats.groups, len(stats.sentences))
         # A stable sort keeps tied sentences in first-occurrence order.
         ranked = np.argsort(-scores, kind="stable")
-        picked = [stats.sentences[i] for i in ranked[: self.top_sentences]]
+        picked = [stats.sentences[i] for i in ranked[:EXTRACTIVE_TOP_SENTENCES]]
         # Guarantee each selected sentence keeps its own boundary when joined.
         normalized = [s if s.endswith((".", "!", "?")) else s + "." for s in picked]
         return " ".join(normalized)
@@ -243,23 +240,21 @@ class RemoteGenerator:
     the chunk summaries are then summarized once more with the same prompt.
     """
 
-    def __init__(self, endpoint: str, cache_dir: str | Path | None = None,
-                 max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS):
+    def __init__(self, endpoint: str, cache_dir: str | Path | None = None):
         if not endpoint:
             raise ValidationError("remote generator requires an endpoint")
         self.endpoint = endpoint
-        self.max_new_tokens = max_new_tokens
         cache_dir = cache_dir or default_cache_dir()
         self.cache = TextCache(Path(cache_dir) / "generate") if cache_dir else None
 
     def generate(self, prompt: str) -> str:
-        key = TextCache.key(self.endpoint, prompt, self.max_new_tokens) if self.cache else None
+        key = TextCache.key(self.endpoint, prompt, MAX_NEW_TOKENS) if self.cache else None
         if self.cache:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
         url = self.endpoint.rstrip("/") + "/generate"
-        body = post_json(url, {"prompt": prompt, "max_new_tokens": self.max_new_tokens})
+        body = post_json(url, {"prompt": prompt, "max_new_tokens": MAX_NEW_TOKENS})
         text = body.get("text")
         if not isinstance(text, str):
             raise TbvadError(f"generation service returned a malformed response from {url}")
@@ -413,7 +408,8 @@ def save_knowledge(kb: KnowledgeBase, path: str | Path) -> None:
 
 
 def load_knowledge(path: str | Path, endpoint: str | None = None, cache_dir: str | None = None,
-                   max_tokens: int = 4096, max_parallel: int = 4) -> KnowledgeBase:
+                   max_tokens: int = KNOWLEDGE_MAX_TOKENS,
+                   max_parallel: int = EmbedderConfig.max_parallel) -> KnowledgeBase:
     """Load a knowledge JSON file, recomputing prototypes and sentence embeddings.
 
     Embeddings are never serialized; the stored (backend, dim, seed) triple

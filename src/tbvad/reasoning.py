@@ -29,7 +29,6 @@ from .knowledge import ASPECTS, CLASS_NAMES, CLASSES, KnowledgeBase
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_TOP_K = 2
 MARGIN_SUM_TOL = 1e-6
 
 

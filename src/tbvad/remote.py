@@ -25,7 +25,8 @@ from .errors import RemoteServiceError
 logger = logging.getLogger(__name__)
 
 DEFAULT_TIMEOUT_MS = 30_000
-DEFAULT_RETRIES = 3
+RETRIES = 3
+BACKOFF_S = 0.2
 # Pack header: key count and vector dim.
 _PACK_HEADER = struct.Struct("<QQ")
 _KEY_BYTES = 32
@@ -48,8 +49,7 @@ def default_cache_dir() -> Path | None:
     return Path(raw) if raw else None
 
 
-def post_json(url: str, payload: dict, retries: int = DEFAULT_RETRIES,
-              backoff_s: float = 0.2, session: requests.Session | None = None) -> dict:
+def post_json(url: str, payload: dict) -> dict:
     """POST a JSON payload, retrying transient failures.
 
     Connection errors, timeouts, invalid JSON and non-200 responses are
@@ -57,12 +57,11 @@ def post_json(url: str, payload: dict, retries: int = DEFAULT_RETRIES,
     requests): the request itself is at fault, so it fails at once.
     Raises RemoteServiceError carrying the attempt count.
     """
-    sess = session or requests
     timeout = http_timeout_seconds()
     last_error = "no attempt made"
-    for attempt in range(1, retries + 1):
+    for attempt in range(1, RETRIES + 1):
         try:
-            resp = sess.post(url, json=payload, timeout=timeout)
+            resp = requests.post(url, json=payload, timeout=timeout)
         except (requests.ConnectionError, requests.Timeout) as e:
             last_error = f"{type(e).__name__}: {e}"
         else:
@@ -75,9 +74,9 @@ def post_json(url: str, payload: dict, retries: int = DEFAULT_RETRIES,
                 last_error = f"HTTP {resp.status_code}"
                 if 400 <= resp.status_code < 500 and resp.status_code not in _RETRIABLE_4XX:
                     raise RemoteServiceError(f"POST {url} failed: {last_error}", attempts=attempt)
-        if attempt < retries:
-            time.sleep(backoff_s * attempt)
-    raise RemoteServiceError(f"POST {url} failed: {last_error}", attempts=retries)
+        if attempt < RETRIES:
+            time.sleep(BACKOFF_S * attempt)
+    raise RemoteServiceError(f"POST {url} failed: {last_error}", attempts=RETRIES)
 
 
 def _atomic_write(path: Path, data: bytes) -> None:

@@ -21,6 +21,7 @@ from tbvad.classifier import (
     _forward,
     _head_forward,
     _sigmoid,
+    _tensor_bytes,
     batch_loss_and_grads,
     init_model_params,
     knowledge_inputs,
@@ -224,8 +225,7 @@ class TestTraining:
 
     def test_full_batch_loss_non_increasing_with_small_lr(self, tiny_kb):
         history: list[float] = []
-        cfg = quick_cfg(learning_rate=0.02, epochs=12, batch_size=8, num_layers=0,
-                        freeze_importance_net=True)
+        cfg = quick_cfg(learning_rate=0.02, epochs=12, batch_size=8, num_layers=0)
         train(tiny_corpus(), tiny_kb, cfg, EMB, history=history)
         assert len(history) == 12
         for a, b in zip(history, history[1:]):
@@ -260,13 +260,6 @@ class TestTraining:
         model = train(tiny_corpus(), tiny_kb, quick_cfg(epochs=2), EMB)
         video = tiny_corpus().videos[3]
         assert predict_video(video, tiny_kb, model, EMB)[0] == predict_video(video, tiny_kb, model, EMB)[0]
-
-    def test_freeze_importance_keeps_gate_zero(self, tiny_kb):
-        cfg = quick_cfg(epochs=4, freeze_importance_net=True)
-        model = train(tiny_corpus(), tiny_kb, cfg, EMB)
-        assert model.gate[0] == 0.0
-        unfrozen = train(tiny_corpus(), tiny_kb, quick_cfg(epochs=4), EMB)
-        assert unfrozen.gate[0] != 0.0
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
     def test_steps_reuse_their_memory(self, tiny_kb):
@@ -358,6 +351,33 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match="trailing"):
             load_model(path)
 
+    @pytest.mark.parametrize("d_model, num_layers, num_heads, d_ff, d_latent, knowledge_dim", [
+        (8, 1, 2, 16, 4, 8), (6, 0, 3, 5, 2, 7), (4, 3, 1, 9, 3, 5),
+    ])
+    def test_tensor_bytes_match_the_built_model(self, d_model, num_layers, num_heads, d_ff,
+                                                d_latent, knowledge_dim):
+        cfg = ModelConfig(d_model=d_model, num_layers=num_layers, num_heads=num_heads,
+                          d_ff=d_ff, d_latent=d_latent, knowledge_dim=knowledge_dim,
+                          k_frames=4, seed=0, active_aspects=("object",))
+        tensors = init_model_params(cfg).tensors().values()
+        assert _tensor_bytes(cfg) == 4 * sum(arr.size for arr in tensors)
+
+    def test_header_only_file_rejected_before_any_tensor_is_built(self, tmp_path):
+        # Building a model of these dims peaks at about 140 MB.
+        cfg = ModelConfig(d_model=768, num_layers=2, num_heads=12, d_ff=3072, d_latent=128,
+                          knowledge_dim=768, k_frames=8, seed=0, active_aspects=("object",))
+        header = json.dumps({"format_version": 1, "config": cfg.to_dict(), "tensors": []})
+        path = tmp_path / "model.tbvm"
+        path.write_bytes(MODEL_MAGIC + struct.pack("<Q", len(header)) + header.encode("utf-8"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match="truncated.*offset"):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
 
 def with_header(raw: bytes, header) -> bytes:
     """Replace the JSON header of a serialized model, keeping its tensor blocks."""
@@ -403,6 +423,12 @@ class TestMalformedHeaders:
         header = model_header(raw)
         header["config"]["num_heads"] = "two"
         with pytest.raises(ModelFormatError, match="num_heads"):
+            self.load_with(tmp_path, raw, header)
+
+    def test_duplicate_tensor_entry_rejected(self, raw, tmp_path):
+        header = model_header(raw)
+        header["tensors"].append(header["tensors"][-1])
+        with pytest.raises(ModelFormatError, match="tensor list does not match"):
             self.load_with(tmp_path, raw, header)
 
     def test_legacy_null_mil_top_k_loads_unchanged(self, raw, tmp_path):
@@ -590,11 +616,11 @@ class TestBatchedScoringOracle:
         assert np.array_equal(scores, reference)
 
     def test_predict_videos_returns_each_videos_intermediates(self, tiny_kb):
-        params = TestBatchedStepOracle.params_for(tiny_kb)
+        params = TestBatchedStepOracle.params_for(tiny_kb, k_frames=5)
         videos = self.corpus(n=20).videos
-        batched = predict_videos(videos, tiny_kb, params, EMB, k_frames=5)
+        batched = predict_videos(videos, tiny_kb, params, EMB)
         for video, (y, p_d, h, mask) in zip(videos, batched):
-            y1, p_d1, h_d1 = predict_video(video, tiny_kb, params, EMB, k_frames=5)
+            y1, p_d1, h_d1 = predict_video(video, tiny_kb, params, EMB)
             assert y == y1 and np.array_equal(p_d, p_d1)
             assert np.array_equal(h, h_d1.vectors) and np.array_equal(mask, h_d1.mask)
             assert h.shape[0] == min(5, len(video.captions))

@@ -11,8 +11,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tbvad.cli import _load_kb, main, resolve_config
+from tbvad.cli import (
+    CONFIG_SCHEMA,
+    DEFAULT_CONFIG,
+    _deep_merge,
+    _load_kb,
+    _prompts,
+    _validate_config,
+    main,
+    resolve_config,
+)
 from tbvad.corpus import save_captions
+from tbvad.knowledge import AspectPrompt, default_prompts
 from tbvad.remote import VectorCache
 from tbvad.synthetic import SyntheticConfig, generate_corpus
 
@@ -46,7 +56,7 @@ def cli_config(tmp_path, **overrides):
     cfg = {
         "seed": 5,
         "k_frames": 6,
-        "embedder": {"backend": "hash", "d": 32, "max_tokens": 512, "knowledge_max_tokens": 4096},
+        "embedder": {"d": 32, "max_tokens": 512, "knowledge_max_tokens": 4096, "max_parallel": 2},
         "encoder": {"num_layers": 1, "num_heads": 2, "d_latent": 16, "ff_multiple": 2},
         "train": {"learning_rate": 0.25, "epochs": 8, "batch_size": 8, "l2_weight": 1e-4},
         "synthetic": {"n_videos": 24, "test_videos": 16, "frames_per_video": 8},
@@ -116,13 +126,16 @@ class TestValidation:
         assert code == 1
         assert "not_a_key" in err
 
-    def test_removed_mil_top_k_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["train.mil_top_k", "embedder.backend", "embedder.endpoint",
+                                     "train.freeze_importance_net"])
+    def test_removed_config_key_rejected(self, tmp_path, capsys, key):
+        section, name = key.split(".")
         bad = tmp_path / "bad.json"
-        bad.write_text('{"train": {"mil_top_k": 2}}', encoding="utf-8")
+        bad.write_text(json.dumps({section: {name: 2}}), encoding="utf-8")
         code, _, err = run_cli(capsys, "caption-stats", "--config", str(bad),
                                "--captions", "whatever.jsonl")
         assert code == 1
-        assert "unknown config key 'train.mil_top_k'" in err
+        assert f"unknown config key {key!r}" in err
 
     def test_unknown_nested_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -172,6 +185,52 @@ class TestValidation:
 
     def test_unknown_subcommand_rejected(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 1
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("train", {"encoder": {"num_heads": 0}}),
+        ("train", {"encoder": {"ff_multiple": 0}}),
+        ("train", {"encoder": {"d_latent": 0}}),
+        ("caption-stats", {"aspects": [["x"]]}),
+        ("gen-synth", {"synthetic": {"planted_aspects": [["x"]]}}),
+        ("ablate", {}),  # with a combos file of [[["object"]]]
+        ("gen-synth", {"synthetic": {"anomaly_frame_ratio": 5}}),
+        ("gen-synth", {"seed": -1}),
+    ])
+    def test_out_of_range_value_is_one_error_line(self, workspace, tmp_path, capsys,
+                                                  command, overrides):
+        train_jsonl = str(workspace["data"] / "train.jsonl")
+        combos = tmp_path / "combos.json"
+        combos.write_text('[[["object"]]]', encoding="utf-8")
+        flags = {
+            "train": ["--captions", train_jsonl, "--knowledge", str(workspace["kb"]),
+                      "--out", str(tmp_path / "m.tbvm")],
+            "caption-stats": ["--captions", train_jsonl],
+            "gen-synth": ["--out", str(tmp_path / "d")],
+            "ablate": ["--captions", train_jsonl, "--test-captions", train_jsonl,
+                       "--combos", str(combos), "--out", str(tmp_path / "ab.csv")],
+        }[command]
+        code, _, err = run_cli(capsys, command, "--config", cli_config(tmp_path, **overrides),
+                               *flags)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_prompts_not_in_the_config_keep_the_shipped_template(self, tmp_path):
+        args = argparse.Namespace(config=cli_config(tmp_path, prompts={"object": "O: {captions}"}))
+        prompts = _prompts(resolve_config(args))
+        assert prompts == {**default_prompts(),
+                           "object": AspectPrompt(aspect="object", template="O: {captions}")}
+
+    def test_readme_config_block_matches_schema(self):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("The recognized keys with their defaults:")[1]
+        documented = json.loads(block.split("```json")[1].split("```")[0])
+
+        def key_tree(cfg):
+            return {k: key_tree(v) if isinstance(v, dict) else None for k, v in cfg.items()}
+
+        assert key_tree(documented) == key_tree(CONFIG_SCHEMA)
+        _validate_config(documented, CONFIG_SCHEMA)
+        assert _deep_merge(documented, DEFAULT_CONFIG) == documented  # same defaults
 
 
 class TestEvalExplain:
@@ -281,8 +340,7 @@ class TestEvalExplain:
         assert line.startswith("error:") and "seed 6 does not match" in line and "'s 5 " in line
 
     def test_knowledge_load_uses_configured_max_parallel(self, workspace, tmp_path):
-        cfg = cli_config(tmp_path, embedder={"backend": "hash", "d": 32, "max_tokens": 512,
-                                             "max_parallel": 3})
+        cfg = cli_config(tmp_path, embedder={"d": 32, "max_tokens": 512, "max_parallel": 3})
         args = argparse.Namespace(config=cfg, knowledge=str(workspace["kb"]))
         assert _load_kb(args, resolve_config(args)).embedder.max_parallel == 3
 
@@ -319,8 +377,7 @@ class TestEvalExplain:
 
         with StubService(embed_fn=embed) as svc:
             cfg = cli_config(tmp_path, endpoints={"embed": svc.endpoint},
-                             embedder={"backend": "remote", "d": 16, "max_tokens": 512,
-                                       "cache_dir": str(tmp_path / "cache")})
+                             embedder={"d": 16, "max_tokens": 512, "cache_dir": str(tmp_path / "cache")})
             data, kb, model = tmp_path / "data", tmp_path / "kb.json", tmp_path / "model.tbvm"
             assert main(["gen-synth", "--config", cfg, "--out", str(data)]) == 0
             assert main(["build-knowledge", "--config", cfg, "--captions", str(data / "train.jsonl"),
@@ -341,8 +398,7 @@ class TestEvalExplain:
         cache = tmp_path / "cache"
         with StubService(embed_fn=float32_vector) as svc:
             cfg = cli_config(tmp_path, endpoints={"embed": svc.endpoint},
-                             embedder={"backend": "remote", "d": 16, "max_tokens": 512,
-                                       "cache_dir": str(cache)})
+                             embedder={"d": 16, "max_tokens": 512, "cache_dir": str(cache)})
             data, kb, model = tmp_path / "data", tmp_path / "kb.json", tmp_path / "model.tbvm"
             test = str(data / "test.jsonl")
             assert main(["gen-synth", "--config", cfg, "--out", str(data)]) == 0

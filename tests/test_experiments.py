@@ -121,15 +121,6 @@ class TestCrossEval:
         with pytest.raises(ValidationError, match="distinct"):
             cross_eval(train_c, train_c, cfg)
 
-    def test_self_check_mode_equals_plain_eval(self):
-        train_c, test_c = small_corpora()
-        cfg = make_pipeline_config(seed=2, **FAST)
-        guarded_off = cross_eval(train_c, train_c, cfg, allow_same_tag=True)
-        kb, model = run_pipeline(train_c, cfg)
-        plain = evaluate_model(train_c, kb, model, cfg.emb, digest=cfg.digest())
-        assert guarded_off.auc == plain.auc
-        assert guarded_off.ap == plain.ap
-
     def test_cross_domain_tags_combined(self):
         train_c, _ = small_corpora(domain="a")
         _, test_b = small_corpora(domain="b-shared", seed=80)

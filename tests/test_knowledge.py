@@ -201,8 +201,8 @@ class TestExtractiveSummarizerOracle:
     def test_other_aspects_ing_cues_are_not_actions(self):
         captions = ["The building is quiet.", "The setting is calm."] * 3 + ["A man is jogging."]
         assert_matches_reference([captions])
-        text = ExtractiveSummarizer(top_sentences=1).summarize(default_prompts()["action"], captions)
-        assert text == "A man is jogging."
+        text = ExtractiveSummarizer().summarize(default_prompts()["action"], captions)
+        assert text.split(". ")[0] == "A man is jogging"
 
     def test_tied_scores_keep_first_occurrence_order(self):
         captions = [f"Alpha{i} beta{i}." for i in range(12)] + ["Knife knife."]

@@ -81,8 +81,8 @@ def _legacy_model(raw: bytes) -> bytes:
 
 CONFIG = json.dumps({
     "seed": 5, "k_frames": 6, "aspects": ["object", "action"],
-    "embedder": {"backend": "hash", "d": 32, "max_tokens": 512},
-    "train": {"learning_rate": 0.25, "epochs": 8, "freeze_importance_net": False},
+    "embedder": {"d": 32, "max_tokens": 512, "knowledge_max_tokens": 4096},
+    "train": {"learning_rate": 0.25, "epochs": 8, "batch_size": 8},
 }).encode("utf-8")
 
 LOADERS = {
