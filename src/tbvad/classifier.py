@@ -38,6 +38,7 @@ from .corpus import CaptionCorpus, VideoRecord, sample_evenly
 from .embedding import EmbedderConfig, TokenEmbeddingSeq, make_embedder
 from .encoder import (
     EncoderParams,
+    LayerParams,
     encoder_backward,
     encoder_forward,
     f32_exact,
@@ -668,6 +669,7 @@ def serialize_model(model: ModelParams) -> bytes:
 
 
 def model_digest(model: ModelParams) -> str:
+    """SHA-256 of the bytes save_model writes: for a file it wrote, the file's SHA-256."""
     return hashlib.sha256(serialize_model(model)).hexdigest()
 
 
@@ -707,21 +709,26 @@ def _header_config(raw) -> ModelConfig:
     return ModelConfig.from_dict(raw)
 
 
-def _is_tensor_entry(entry) -> bool:
-    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list)
-            and all(_is_int(n) and n >= 0 for n in entry["shape"]))
-
-
-def _tensor_bytes(cfg: ModelConfig) -> int:
-    """Bytes of the float32 tensor blocks of a model with this config, without building it."""
-    d, d_ff = cfg.d_model, cfg.d_ff
-    layer = 4 * d * d + 2 * d * d_ff + d_ff + 5 * d
-    head = cfg.d_latent * (d + cfg.knowledge_dim + 4) + 2 * d * d + 2 * d + 3
-    return 4 * (cfg.num_layers * layer + head)
+def _tensor_shapes(cfg: ModelConfig):
+    """Yield (name, shape) of each tensor of a model with this config, in file order."""
+    d, d_ff, dl = cfg.d_model, cfg.d_ff, cfg.d_latent
+    layer = {"ln1_g": (d,), "ln1_b": (d,), "wq": (d, d), "wk": (d, d), "wv": (d, d),
+             "wo": (d, d), "ln2_g": (d,), "ln2_b": (d,), "w1": (d_ff, d), "c1": (d_ff,),
+             "w2": (d, d_ff), "c2": (d,)}
+    for i in range(cfg.num_layers):
+        for name, shape in layer.items():
+            yield f"encoder.layers.{i}.{name}", shape
+    yield from {"encoder.w_d": (dl, d), "encoder.b_d": (dl,), "w_v": (dl, cfg.knowledge_dim),
+                "b_v": (dl,), "fuse_w": (2 * dl,), "fuse_b": (1,), "importance.w1": (d, 2 * d),
+                "importance.b1": (d,), "importance.w2": (d,), "importance.b2": (1,),
+                "gate": (1,)}.items()
 
 
 def load_model(path) -> ModelParams:
+    """Read a model file whose header lists exactly its config's tensors, in order.
+
+    That list is ``_tensor_shapes(config)``; the file holds exactly their blocks.
+    """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != MODEL_MAGIC:
         raise ModelFormatError("not a model file (bad magic)", offset=0)
@@ -741,37 +748,36 @@ def load_model(path) -> ModelParams:
             f"unsupported format version {version} (expected {MODEL_FORMAT_VERSION})"
         )
     cfg = _header_config(header.get("config"))
-    entries = header.get("tensors")
-    if not (isinstance(entries, list) and all(_is_tensor_entry(e) for e in entries)):
-        raise ModelFormatError("header tensor list is not a list of {name, shape} entries")
-    # Checked before any tensor is built, so a header's dims cannot make
-    # the load allocate more than the file holds.
-    end = header_end + _tensor_bytes(cfg)
-    if len(data) < end:
-        raise ModelFormatError(f"truncated tensor blocks: the header config needs {end} bytes",
-                               offset=len(data))
-    if len(data) > end:
-        raise ModelFormatError("trailing bytes after final tensor block", offset=end)
-    try:
-        model = init_model_params(cfg)
-    except ValidationError as e:
-        raise ModelFormatError(f"header config is inconsistent: {e}") from e
-    offset = header_end
-    tensors = model.tensors()
-    listed = {t["name"]: tuple(t["shape"]) for t in entries}
-    if len(entries) != len(tensors) or set(listed) != set(tensors):
-        raise ModelFormatError("tensor list does not match the model architecture")
-    for entry in entries:
-        name, shape = entry["name"], tuple(entry["shape"])
-        arr = tensors[name]
-        if arr.shape != shape:
-            raise ModelFormatError(f"tensor {name} has shape {shape}, expected {arr.shape}")
-        block = np.frombuffer(data, dtype="<f4", count=arr.size, offset=offset)
+    # The table is walked lazily and each block checked against the file's length
+    # before it is read, so a header's dims cannot make the load outrun the file.
+    tensors, offset = {}, header_end
+    for name, shape in _tensor_shapes(cfg):
+        size = math.prod(shape)
+        if offset + 4 * size > len(data):
+            raise ModelFormatError(f"truncated tensor blocks: tensor {name} ends at byte "
+                                   f"{offset + 4 * size}", offset=len(data))
+        block = np.frombuffer(data, dtype="<f4", count=size, offset=offset)
         finite = np.isfinite(block)
         if not finite.all():
             bad = int(np.argmin(finite))
             raise ModelFormatError(f"tensor {name} holds a non-finite value ({block[bad]})",
                                    offset=offset + 4 * bad)
-        arr[...] = block.reshape(shape).astype(np.float64)
-        offset += 4 * arr.size
-    return model
+        tensors[name] = block.reshape(shape).astype(np.float64)
+        offset += 4 * size
+    if len(data) > offset:
+        raise ModelFormatError("trailing bytes after final tensor block", offset=offset)
+    # Compared as JSON text, so that a true or 1.0 dim does not pass for 1.
+    listed = [{"name": name, "shape": list(arr.shape)} for name, arr in tensors.items()]
+    if json.dumps(header.get("tensors"), sort_keys=True) != json.dumps(listed, sort_keys=True):
+        raise ModelFormatError("tensor list does not match the model architecture")
+    layers = [LayerParams(**{f: tensors[f"encoder.layers.{i}.{f}"] for f in LayerParams.FIELDS})
+              for i in range(cfg.num_layers)]
+    try:
+        encoder = EncoderParams(cfg.num_layers, cfg.num_heads, cfg.d_model, cfg.d_ff, cfg.d_latent,
+                                layers, tensors["encoder.w_d"], tensors["encoder.b_d"])
+    except ValidationError as e:
+        raise ModelFormatError(f"header config is inconsistent: {e}") from e
+    importance = {f: tensors[f"importance.{f}"] for f in ImportanceParams.FIELDS}
+    return ModelParams(
+        config=cfg, encoder=encoder, importance=ImportanceParams(**importance),
+        **{name: tensors[name] for name in ("w_v", "b_v", "fuse_w", "fuse_b", "gate")})

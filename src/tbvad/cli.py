@@ -400,8 +400,10 @@ def cmd_explain(args) -> int:
     if getattr(args, "counterfactual", False):
         margins = counterfactual_margins(h_d, kb, model.importance, predicted_v)
     weights = {aspect: float(imp.w[i]) for i, aspect in enumerate(kb.aspects)}
+    inputs = {name: _file_digest(getattr(args, name))
+              for name in ("captions", "knowledge", "model")}
     record = build_record(video.video_id, y, weights, evidences, margins,
-                          model_digest=model_digest(model))
+                          model_digest=inputs["model"])
     gen_endpoint = cfg["endpoints"].get("generate")
     backend = None
     if gen_endpoint:
@@ -411,10 +413,7 @@ def cmd_explain(args) -> int:
     with _output_lock(out_dir):
         if getattr(args, "out", None):
             Path(args.out).write_text(record.to_json() + "\n", encoding="utf-8")
-        _append_run_log(out_dir, "explain", cfg,
-                        {"captions": _file_digest(args.captions),
-                         "knowledge": _file_digest(args.knowledge),
-                         "model": _file_digest(args.model)},
+        _append_run_log(out_dir, "explain", cfg, inputs,
                         [args.out] if getattr(args, "out", None) else [])
     print(record.to_json())
     return 0

@@ -76,6 +76,8 @@ class EmbedderConfig:
             raise ValidationError(f"embedding dim must be positive, got {self.d}")
         if self.max_tokens < 1:
             raise ValidationError(f"max_tokens must be positive, got {self.max_tokens}")
+        if self.max_parallel < 1:
+            raise ValidationError(f"max_parallel must be positive, got {self.max_parallel}")
         if self.backend == "remote" and not self.endpoint:
             raise ValidationError("remote embedder backend requires an endpoint")
 
@@ -251,7 +253,7 @@ class RemoteEmbedder(_TokenEmbedder):
             unique_missing = list(missing)
             batches = [unique_missing[i:i + MAX_BATCH_TEXTS]
                        for i in range(0, len(unique_missing), MAX_BATCH_TEXTS)]
-            workers = max(1, min(self.cfg.max_parallel, len(batches)))
+            workers = min(self.cfg.max_parallel, len(batches))
             if workers == 1:
                 fetched = [self._fetch_batch(b) for b in batches]
             else:

@@ -108,7 +108,7 @@ class SlotSummary:
     class_v: str
     aspect: str
     text: str
-    sentences: tuple[str, ...] = field(default=())
+    sentences: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         if self.class_v not in CLASSES:
@@ -117,9 +117,7 @@ class SlotSummary:
             raise ValidationError(f"unknown aspect {self.aspect!r}")
         if not self.text.strip():
             raise ValidationError(f"slot summary ({self.class_v}, {self.aspect}) is empty")
-        expected = tuple(sentence_split(self.text))
-        if self.sentences != expected:
-            object.__setattr__(self, "sentences", expected)
+        object.__setattr__(self, "sentences", tuple(sentence_split(self.text)))
 
 
 class _SentenceStats:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -391,9 +391,4 @@ def generate_explanation(record: ExplanationRecord, backend=None) -> tuple[str, 
 def attach_rationale(record: ExplanationRecord, backend=None) -> ExplanationRecord:
     """Return a copy of the record with rationale and fallback flag filled in."""
     text, fallback = generate_explanation(record, backend)
-    return ExplanationRecord(
-        video_id=record.video_id, score=record.score,
-        predicted_label=record.predicted_label, slot_weights=record.slot_weights,
-        evidences=record.evidences, margins=record.margins,
-        rationale=text, fallback=fallback, model_digest=record.model_digest,
-    )
+    return replace(record, rationale=text, fallback=fallback)

@@ -21,7 +21,7 @@ from tbvad.classifier import (
     _forward,
     _head_forward,
     _sigmoid,
-    _tensor_bytes,
+    _tensor_shapes,
     batch_loss_and_grads,
     init_model_params,
     knowledge_inputs,
@@ -354,13 +354,29 @@ class TestModelIO:
     @pytest.mark.parametrize("d_model, num_layers, num_heads, d_ff, d_latent, knowledge_dim", [
         (8, 1, 2, 16, 4, 8), (6, 0, 3, 5, 2, 7), (4, 3, 1, 9, 3, 5),
     ])
-    def test_tensor_bytes_match_the_built_model(self, d_model, num_layers, num_heads, d_ff,
-                                                d_latent, knowledge_dim):
+    def test_tensor_shapes_match_the_built_model(self, d_model, num_layers, num_heads, d_ff,
+                                                 d_latent, knowledge_dim):
         cfg = ModelConfig(d_model=d_model, num_layers=num_layers, num_heads=num_heads,
                           d_ff=d_ff, d_latent=d_latent, knowledge_dim=knowledge_dim,
                           k_frames=4, seed=0, active_aspects=("object",))
-        tensors = init_model_params(cfg).tensors().values()
-        assert _tensor_bytes(cfg) == 4 * sum(arr.size for arr in tensors)
+        built = [(name, arr.shape) for name, arr in init_model_params(cfg).tensors().items()]
+        assert list(_tensor_shapes(cfg)) == built
+
+    def test_load_reads_the_blocks_without_a_seeded_init(self, tiny_kb, tmp_path, monkeypatch):
+        model = train(tiny_corpus(), tiny_kb, quick_cfg(epochs=2), EMB)
+        path = tmp_path / "model.tbvm"
+        save_model(model, path)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_model ran a seeded init")
+
+        for name in ("init_model_params", "init_encoder_params", "init_importance_params"):
+            monkeypatch.setattr(f"tbvad.classifier.{name}", no_init)
+        loaded = load_model(path)
+        assert loaded.config == model.config
+        for name, arr in model.tensors().items():
+            assert np.array_equal(arr, loaded.tensors()[name]), name
+        assert serialize_model(loaded) == path.read_bytes()
 
     def test_header_only_file_rejected_before_any_tensor_is_built(self, tmp_path):
         # Building a model of these dims peaks at about 140 MB.
@@ -426,10 +442,25 @@ class TestMalformedHeaders:
             self.load_with(tmp_path, raw, header)
 
     def test_duplicate_tensor_entry_rejected(self, raw, tmp_path):
-        header = model_header(raw)
-        header["tensors"].append(header["tensors"][-1])
-        with pytest.raises(ModelFormatError, match="tensor list does not match"):
-            self.load_with(tmp_path, raw, header)
+        # Each edit keeps the config and the tensor blocks; only the list is wrong.
+        def entry(entries, name):
+            return next(e for e in entries if e["name"] == name)
+
+        edits = {
+            "duplicate entry": lambda t: t.append(t[-1]),
+            "swapped pair": lambda t: t.insert(0, t.pop(1)),
+            "true dim": lambda t: entry(t, "fuse_b").update(shape=[True]),
+            "1.0 dim": lambda t: entry(t, "fuse_b").update(shape=[1.0]),
+            "extra entry key": lambda t: t[0].update(dtype="<f4"),
+            "missing entry": lambda t: t.pop(),
+            "wrong shape": lambda t: entry(t, "fuse_w")["shape"].insert(0, 1),
+        }
+        for what, edit in edits.items():
+            header = model_header(raw)
+            edit(header["tensors"])
+            with pytest.raises(ModelFormatError, match="tensor list does not match"):
+                self.load_with(tmp_path, raw, header)
+                pytest.fail(f"a tensor list with edit {what!r} loaded")
 
     def test_legacy_null_mil_top_k_loads_unchanged(self, raw, tmp_path):
         # Files saved while the caption-window variant existed hold "mil_top_k": null.

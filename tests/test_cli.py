@@ -195,6 +195,8 @@ class TestValidation:
         ("ablate", {}),  # with a combos file of [[["object"]]]
         ("gen-synth", {"synthetic": {"anomaly_frame_ratio": 5}}),
         ("gen-synth", {"seed": -1}),
+        ("train", {"embedder": {"d": 32, "max_tokens": 512, "max_parallel": 0}}),
+        ("train", {"embedder": {"d": 32, "max_tokens": 512, "max_parallel": -3}}),
     ])
     def test_out_of_range_value_is_one_error_line(self, workspace, tmp_path, capsys,
                                                   command, overrides):
@@ -270,6 +272,24 @@ class TestEvalExplain:
         assert len(record["evidences"]) == 2
         assert abs(sum(record["margins"].values())) <= 1e-6
         assert record["rationale"].startswith("Decision:")
+
+    def test_record_model_digest_is_the_model_file_digest(self, workspace, tmp_path, capsys):
+        from tbvad.corpus import load_captions
+        model = tmp_path / "model.tbvm"
+        common = ["--config", workspace["cfg"], "--knowledge", str(workspace["kb"])]
+        code, out, _ = run_cli(capsys, "train", *common, "--out", str(model),
+                               "--captions", str(workspace["data"] / "train.jsonl"))
+        assert code == 0
+        printed = json.loads(out)["digest"]
+        test_jsonl = workspace["data"] / "test.jsonl"
+        vid = load_captions(test_jsonl).videos[0].video_id
+        code, out, _ = run_cli(capsys, "explain", *common, "--captions", str(test_jsonl),
+                               "--model", str(model), "--video-id", vid,
+                               "--out", str(tmp_path / "record.json"))
+        assert code == 0
+        logged = json.loads((tmp_path / "runs.log").read_text(encoding="utf-8").splitlines()[-1])
+        assert logged["command"] == "explain"
+        assert json.loads(out)["model_digest"] == printed == logged["input_digests"]["model"]
 
     def test_calls_in_one_process_share_no_flag_values(self, workspace, capsys):
         from tbvad.corpus import load_captions

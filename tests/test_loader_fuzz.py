@@ -2,15 +2,16 @@
 
 Each test starts from a valid file, then truncates it or replaces, inserts or
 deletes one byte, and loads the result: the load may succeed or raise a
-``TbvadError``, and anything else escaping fails the test.  The model's
-dimensions are single digits, so one edit leaves each at most 99 and no
-case makes ``init_model_params`` allocate more than a few MB.  A damaged
-embedding-cache pack must yield each stored vector or nothing.
+``TbvadError``, and anything else escaping fails the test.  ``load_model``
+reads no more tensor blocks than the damaged file holds, so no case
+allocates more than a few MB.  A damaged embedding-cache pack must yield
+each stored vector or nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import struct
 
@@ -18,7 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tbvad.classifier import ModelConfig, init_model_params, load_model, serialize_model
+from tbvad.classifier import (
+    ModelConfig,
+    init_model_params,
+    load_model,
+    model_digest,
+    serialize_model,
+)
 from tbvad.cli import _load_combos, resolve_config
 from tbvad.corpus import CaptionCorpus, load_captions
 from tbvad.embedding import EmbedderConfig
@@ -100,7 +107,10 @@ def test_undamaged_file_loads(tmp_path, name):
     data, load = LOADERS[name]
     path = tmp_path / name
     path.write_bytes(data)
-    load(path)
+    loaded = load(path)
+    if name == "model":
+        # tbvad explain records the file's digest as the model's.
+        assert hashlib.sha256(data).hexdigest() == model_digest(loaded)
 
 
 @pytest.mark.parametrize("name", LOADERS)
