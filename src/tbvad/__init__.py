@@ -55,10 +55,8 @@ from .knowledge import (
     summarize_aspect,
 )
 from .reasoning import (
-    AttentionResult,
     Evidence,
     ExplanationRecord,
-    SlotImportance,
     build_record,
     counterfactual_margins,
     generate_explanation,

@@ -52,10 +52,10 @@ from .knowledge import (
 )
 from .reasoning import (
     ImportanceParams,
-    attend,
     importance_backward,
     importance_forward,
     init_importance_params,
+    slot_attention,
     softmax,
 )
 from .remote import VectorCache
@@ -243,7 +243,7 @@ def _head_forward(params: ModelParams, h: np.ndarray, mask: np.ndarray,
     # rows' zeros and, at d = 1, sum in another order.
     hbar = np.array([h_b[m_b].sum(axis=0) for h_b, m_b in zip(h, mask)]) / count[:, None]
     protos = know.prototypes
-    a, c = attend(protos, h, mask)
+    a, c = slot_attention(protos, h, mask)
     z, f_cache = importance_forward(c, protos, params.importance)
     w = softmax(z)
     ctx = (w[:, None, :] @ c)[:, 0]
@@ -738,7 +738,7 @@ def load_model(path) -> ModelParams:
         raise ModelFormatError("truncated header", offset=len(data))
     try:
         header = json.loads(data[12:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ModelFormatError(f"corrupt header: {e}", offset=12) from e
     if not isinstance(header, dict):
         raise ModelFormatError("header is not a JSON object", offset=12)

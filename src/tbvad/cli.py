@@ -24,6 +24,8 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .classifier import TrainConfig, load_model, model_digest, predict_video, save_model, train
 from .corpus import group_by_class, load_captions
 from .embedding import KNOWLEDGE_MAX_TOKENS, EmbedderConfig, mean_pool
@@ -41,6 +43,7 @@ from .evaluation import (
 )
 from .knowledge import (
     ASPECTS,
+    CLASSES,
     AspectPrompt,
     ExtractiveSummarizer,
     RemoteGenerator,
@@ -135,7 +138,7 @@ def resolve_config(args) -> dict:
             raise ValidationError(f"--config file does not exist: {path}")
         try:
             user_cfg = json.loads(path.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise ValidationError(f"--config is not valid JSON: {e}") from e
         if not isinstance(user_cfg, dict):
             raise ValidationError(f"--config {path} must hold a JSON object")
@@ -271,6 +274,13 @@ def _append_run_log(out_dir: Path, command: str, cfg: dict, inputs: dict, output
         fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
+def _optional_out(args) -> tuple[Path, list[str]]:
+    """The lock and run-log directory and the outputs list of a command whose --out is optional."""
+    if getattr(args, "out", None):
+        return Path(args.out).parent, [args.out]
+    return Path("."), []
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -370,13 +380,12 @@ def cmd_eval(args) -> int:
     desc_emb, _ = _embedder_configs(cfg)
     report = evaluate_model(corpus, kb, model, desc_emb, digest=config_digest(cfg))
     report = _metric_filter(report, getattr(args, "metric", None))
-    out_dir = Path(args.out).parent if getattr(args, "out", None) else Path(".")
+    out_dir, outputs = _optional_out(args)
     with _output_lock(out_dir):
         _append_run_log(out_dir, "eval", cfg,
                         {"captions": _file_digest(args.captions),
                          "knowledge": _file_digest(args.knowledge),
-                         "model": _file_digest(args.model)},
-                        [args.out] if getattr(args, "out", None) else [])
+                         "model": _file_digest(args.model)}, outputs)
         _report_to_streams(report, args)
     return 0
 
@@ -392,14 +401,16 @@ def cmd_explain(args) -> int:
 
     y, _, h_d = predict_video(video, kb, model, desc_emb)
     predicted_v = "a" if y >= 0.5 else "n"
-    att = slot_attention(kb.prototypes[predicted_v], h_d)
-    imp = slot_importance(att.c, kb.prototypes[predicted_v], model.importance)
-    h_bar = mean_pool(h_d)
-    evidences = retrieve_evidence(h_bar, kb, predicted_v, imp, k=cfg["topk"])
+    # Both classes' prototypes in one (2, S, d) stack; row i is CLASSES[i].
+    protos = np.stack([kb.prototypes[v] for v in CLASSES])
+    _, c = slot_attention(protos, h_d.vectors, h_d.mask)
+    w = slot_importance(c, protos, model.importance)
+    w_pred = w[CLASSES.index(predicted_v)]
+    evidences = retrieve_evidence(mean_pool(h_d), kb, predicted_v, w_pred, k=cfg["topk"])
     margins = {}
     if getattr(args, "counterfactual", False):
-        margins = counterfactual_margins(h_d, kb, model.importance, predicted_v)
-    weights = {aspect: float(imp.w[i]) for i, aspect in enumerate(kb.aspects)}
+        margins = counterfactual_margins(w, predicted_v, kb.aspects)
+    weights = {aspect: float(w_pred[i]) for i, aspect in enumerate(kb.aspects)}
     inputs = {name: _file_digest(getattr(args, name))
               for name in ("captions", "knowledge", "model")}
     record = build_record(video.video_id, y, weights, evidences, margins,
@@ -409,12 +420,11 @@ def cmd_explain(args) -> int:
     if gen_endpoint:
         backend = RemoteGenerator(gen_endpoint, cache_dir=_cache_dir(cfg))
     record = attach_rationale(record, backend)
-    out_dir = Path(args.out).parent if getattr(args, "out", None) else Path(".")
+    out_dir, outputs = _optional_out(args)
     with _output_lock(out_dir):
-        if getattr(args, "out", None):
+        if outputs:
             Path(args.out).write_text(record.to_json() + "\n", encoding="utf-8")
-        _append_run_log(out_dir, "explain", cfg, inputs,
-                        [args.out] if getattr(args, "out", None) else [])
+        _append_run_log(out_dir, "explain", cfg, inputs, outputs)
     print(record.to_json())
     return 0
 
@@ -427,7 +437,7 @@ def _load_combos(spec: str) -> list[tuple[str, ...]]:
         raise ValidationError(f"--combos must be 'table3' or a JSON file path, got {spec!r}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ValidationError(f"combos file {path} is not valid JSON: {e}") from e
     if not isinstance(raw, list) or not all(isinstance(c, list) for c in raw):
         raise ValidationError(f"combos file {path} must hold a JSON list of aspect lists")
@@ -472,12 +482,11 @@ def cmd_cross_eval(args) -> int:
     test_corpus = load_captions(args.test_captions, source_tag=args.test_captions)
     pipeline = _pipeline_config(cfg, summarizer=_summarizer(cfg, args), prompts=_prompts(cfg))
     report = cross_eval(train_corpus, test_corpus, pipeline)
-    out_dir = Path(args.out).parent if getattr(args, "out", None) else Path(".")
+    out_dir, outputs = _optional_out(args)
     with _output_lock(out_dir):
         _append_run_log(out_dir, "cross-eval", cfg,
                         {"captions": _file_digest(args.captions),
-                         "test_captions": _file_digest(args.test_captions)},
-                        [args.out] if getattr(args, "out", None) else [])
+                         "test_captions": _file_digest(args.test_captions)}, outputs)
         _report_to_streams(report, args)
     return 0
 

@@ -165,7 +165,7 @@ def load_captions(path: str | Path, source_tag: str | None = None, *,
                 try:
                     rec, end = _SCAN(line, 0)
                     whole = line[end:] == "\n" or _JSON_WHITESPACE(line, end).end() == len(line)
-                except (StopIteration, ValueError):
+                except (StopIteration, ValueError, RecursionError):
                     whole = False
                 if not whole:
                     if not line.strip():
@@ -174,6 +174,8 @@ def load_captions(path: str | Path, source_tag: str | None = None, *,
                         rec = json.loads(line)
                     except json.JSONDecodeError as e:
                         raise ValidationError(f"{path}:{lineno}: malformed JSON ({e.msg})") from e
+                    except RecursionError as e:
+                        raise ValidationError(f"{path}:{lineno}: malformed JSON ({e})") from e
                 if not (type(rec) is dict
                         and type(vid := rec.get("video_id")) is str
                         and type(fidx := rec.get("frame_index")) is int

@@ -416,7 +416,7 @@ def load_knowledge(path: str | Path, endpoint: str | None = None, cache_dir: str
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ValidationError(f"knowledge file {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ValidationError(f"knowledge file {path} is not a JSON object")

@@ -2,15 +2,15 @@
 
 Slot prototypes are cross-attended against the encoded description tokens
 to form slot-specific context vectors (scaled scores, no softmax over the
-attention map); the classifier head computes its attention through the
-same ``attend`` expression.  A small shared feed-forward network scores
-each slot from its context vector and prototype; softmax over the scores
-yields the slot importance weights.  Evidence retrieval picks, for the
-top-weighted slots, the knowledge sentence most cosine-similar to the mean
-description embedding.  Counterfactual margins compare slot importances
-under the predicted class's prototypes against the opposite class's.
-Everything is assembled into a structured, JSON-serializable explanation
-record.
+attention map); ``slot_attention`` is that one expression, for the
+classifier head and for explain alike.  A small shared feed-forward network
+scores each slot from its context vector and prototype; softmax over the
+scores yields the slot importance weights.  Explain scores both classes'
+prototypes in one stacked pass.  Evidence retrieval picks, for the
+predicted class's top-weighted slots, the knowledge sentence most
+cosine-similar to the mean description embedding.  Counterfactual margins
+are the predicted class's weights minus the opposite class's.  Everything
+is assembled into a structured, JSON-serializable explanation record.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .embedding import TokenEmbeddingSeq, cosine_similarity
+from .embedding import cosine_similarity
 from .encoder import f32_exact
 from .errors import TbvadError, ValidationError
 from .knowledge import ASPECTS, CLASS_NAMES, CLASSES, KnowledgeBase
@@ -30,38 +30,6 @@ from .knowledge import ASPECTS, CLASS_NAMES, CLASSES, KnowledgeBase
 logger = logging.getLogger(__name__)
 
 MARGIN_SUM_TOL = 1e-6
-
-
-@dataclass
-class AttentionResult:
-    """Slot-token alignment A (S x T) and slot context vectors C (S x d)."""
-
-    a: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.c))):
-            raise ValidationError("attention result contains non-finite values")
-        if self.a.shape[0] != self.c.shape[0]:
-            raise ValidationError("A and C must agree on the slot count")
-
-
-@dataclass
-class SlotImportance:
-    """Raw slot scores z and their softmax-normalized weights w."""
-
-    z: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=np.float64)
-        self.w = np.asarray(self.w, dtype=np.float64)
-        if self.z.shape != self.w.shape or self.z.ndim != 1:
-            raise ValidationError("z and w must be equal-length vectors")
-        if np.any(self.w < 0) or abs(self.w.sum() - 1.0) > 1e-6:
-            raise ValidationError("w must be a probability vector")
-        if int(np.argmax(self.w)) != int(np.argmax(self.z)):
-            raise ValidationError("argmax(w) must equal argmax(z)")
 
 
 @dataclass(frozen=True)
@@ -83,31 +51,18 @@ class Evidence:
             raise ValidationError("evidence rank must be positive")
 
 
-def attend(k_v: np.ndarray, h: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def slot_attention(k_v: np.ndarray, h: np.ndarray,
+                   mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A = K_v H^T / sqrt(d) with masked token columns zeroed, and C = A H.
 
     ``h`` is one (T, d) segment or a stack (..., T, d) with a mask (..., T);
-    each slice takes the matmuls a single segment does, so its A and C are
-    bit for bit the same.  No checks: the classifier head calls this once
-    per shape group.
+    ``k_v`` is (S, d) or a stack (..., S, d) of prototypes.  Each slice takes
+    the matmuls a single call does, so its A and C are bit for bit the same.
+    No checks: callers pass arrays the forward has just produced.
     """
     a = (k_v @ h.swapaxes(-1, -2)) / math.sqrt(h.shape[-1])
     a = a * mask[..., None, :]
     return a, a @ h
-
-
-def slot_attention(k_v: np.ndarray, h_d: TokenEmbeddingSeq) -> AttentionResult:
-    """Cross-attention of slot prototypes against description tokens, checked.
-
-    ``attend`` with the prototype dim validated; A is not normalized.
-    """
-    k_v = np.asarray(k_v, dtype=np.float64)
-    if k_v.ndim != 2 or k_v.shape[1] != h_d.d:
-        raise ValidationError(
-            f"prototype matrix {k_v.shape} does not match token dim {h_d.d}"
-        )
-    a, c = attend(k_v, h_d.vectors, h_d.mask)
-    return AttentionResult(a=a, c=c)
 
 
 @dataclass
@@ -152,7 +107,8 @@ def softmax(z: np.ndarray) -> np.ndarray:
 def importance_forward(c: np.ndarray, k_v: np.ndarray, f_params: ImportanceParams):
     """Returns (z, cache) where z_s = f([C_s; K_{v,s}]) with f shared across slots.
 
-    ``c`` is (S, d) or a stack (..., S, d) sharing the prototypes ``k_v`` (S, d).
+    ``c`` is (S, d) or a stack (..., S, d); ``k_v`` is the (S, d) prototypes
+    every slice shares, or a stack of the same shape as ``c``.
     """
     d = c.shape[-1]
     u = np.empty(c.shape[:-1] + (2 * d,))
@@ -186,21 +142,17 @@ def importance_backward(dz: np.ndarray, cache, f_params: ImportanceParams):
 
 
 def slot_importance(c: np.ndarray, k_v: np.ndarray,
-                    f_params: ImportanceParams) -> SlotImportance:
-    """Score each slot from its context vector and prototype; softmax-normalize."""
-    c = np.asarray(c, dtype=np.float64)
-    k_v = np.asarray(k_v, dtype=np.float64)
-    if c.shape[0] != k_v.shape[0]:
-        raise ValidationError("context and prototype row counts differ")
+                    f_params: ImportanceParams) -> np.ndarray:
+    """Softmax weights (..., S) of each slot's score from its context vector and prototype."""
     z, _ = importance_forward(c, k_v, f_params)
     if not np.all(np.isfinite(z)):
         raise ValidationError("slot importance scores are non-finite")
-    return SlotImportance(z=z, w=softmax(z))
+    return softmax(z)
 
 
 def retrieve_evidence(h_bar: np.ndarray, kb: KnowledgeBase, class_v: str,
-                      w: SlotImportance, k: int) -> list[Evidence]:
-    """Top-k slots by weight, each contributing its argmax-cosine sentence.
+                      w: np.ndarray, k: int) -> list[Evidence]:
+    """Top-k slots by weight ``w`` (S,), each contributing its argmax-cosine sentence.
 
     Ties between slot weights resolve in canonical aspect order; ties
     between sentence similarities resolve to the lowest sentence index.
@@ -211,9 +163,9 @@ def retrieve_evidence(h_bar: np.ndarray, kb: KnowledgeBase, class_v: str,
         raise ValidationError(f"k must be >= 1, got {k}")
     if class_v not in CLASSES:
         raise ValidationError(f"unknown class {class_v!r}")
-    if len(w.w) != len(kb.aspects):
+    if len(w) != len(kb.aspects):
         raise ValidationError("importance vector length does not match active aspects")
-    order = sorted(range(len(kb.aspects)), key=lambda i: (-w.w[i], i))
+    order = sorted(range(len(kb.aspects)), key=lambda i: (-w[i], i))
     evidences: list[Evidence] = []
     for slot_idx in order:
         if len(evidences) == k:
@@ -237,22 +189,19 @@ def retrieve_evidence(h_bar: np.ndarray, kb: KnowledgeBase, class_v: str,
     return evidences
 
 
-def counterfactual_margins(h_d: TokenEmbeddingSeq, kb: KnowledgeBase,
-                           f_params: ImportanceParams, predicted_v: str) -> dict[str, float]:
+def counterfactual_margins(w: np.ndarray, predicted_v: str,
+                           aspects: tuple[str, ...]) -> dict[str, float]:
     """Per-aspect importance shift when the class-conditioned knowledge is swapped.
 
-    Delta_s = w_s (under the predicted class's prototypes) minus w_s under
-    the opposite class's prototypes; the margins always sum to zero.
+    ``w`` holds the (2, S) slot weights under each class's prototypes, in
+    ``CLASSES`` order.  Delta_s = w_s under the predicted class minus w_s
+    under the opposite class; the margins always sum to zero.
     """
     if predicted_v not in CLASSES:
         raise ValidationError(f"unknown class {predicted_v!r}")
-    other = "a" if predicted_v == "n" else "n"
-    weights = {}
-    for v in (predicted_v, other):
-        att = slot_attention(kb.prototypes[v], h_d)
-        weights[v] = slot_importance(att.c, kb.prototypes[v], f_params).w
-    delta = weights[predicted_v] - weights[other]
-    return {aspect: float(delta[i]) for i, aspect in enumerate(kb.aspects)}
+    ours = CLASSES.index(predicted_v)
+    delta = w[ours] - w[1 - ours]
+    return {aspect: float(delta[i]) for i, aspect in enumerate(aspects)}
 
 
 @dataclass

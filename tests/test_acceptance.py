@@ -39,8 +39,7 @@ from tbvad.evaluation import (
 from tbvad.knowledge import build_knowledge, default_prompts, load_knowledge, save_knowledge
 from tbvad.reasoning import (
     ExplanationRecord,
-    SlotImportance,
-    counterfactual_margins,
+    importance_forward,
     init_importance_params,
     render_explanation,
     retrieve_evidence,
@@ -53,7 +52,7 @@ from tbvad.synthetic import SyntheticConfig, generate_corpus
 from conftest import make_video
 from stubs import StubService
 from test_metrics import ap_cutpoint_oracle, auc_pairwise_oracle, random_instance
-from test_reasoning import kb_with_embeddings, retrieval_oracle
+from test_reasoning import kb_with_embeddings, margins_of, retrieval_oracle
 
 GOLDEN = Path(__file__).parent / "data" / "explanation_golden.txt"
 
@@ -147,7 +146,7 @@ class TestCriterion3ReasoningFidelity:
             k_v = rng.normal(size=(s, d))
             vecs = rng.normal(size=(t, d))
             h = TokenEmbeddingSeq(vectors=vecs, mask=np.ones(t, dtype=bool))
-            res = slot_attention(k_v, h)
+            got_a, got_c = slot_attention(k_v, h.vectors, h.mask)
             a = np.zeros((s, t))
             for i in range(s):
                 for j in range(t):
@@ -159,7 +158,7 @@ class TestCriterion3ReasoningFidelity:
                 for m in range(d):
                     for j in range(t):
                         c[i, m] += a[i, j] * vecs[j, m]
-            worst = max(worst, np.max(np.abs(res.a - a)), np.max(np.abs(res.c - c)))
+            worst = max(worst, np.max(np.abs(got_a - a)), np.max(np.abs(got_c - c)))
             assert worst <= 1e-10
 
         # Importance: sums to one, shift-invariant, argmax-consistent.
@@ -167,18 +166,19 @@ class TestCriterion3ReasoningFidelity:
         for _ in range(100):
             c = rng.normal(size=(4, 6))
             k_v = rng.normal(size=(4, 6))
-            imp = slot_importance(c, k_v, f)
-            assert abs(imp.w.sum() - 1.0) <= 1e-6
-            assert int(np.argmax(imp.w)) == int(np.argmax(imp.z))
-            shift = softmax(imp.z + float(rng.normal()) * 7.0)
-            assert np.max(np.abs(shift - imp.w)) <= 1e-9
+            w = slot_importance(c, k_v, f)
+            z, _ = importance_forward(c, k_v, f)
+            assert abs(w.sum() - 1.0) <= 1e-6
+            assert int(np.argmax(w)) == int(np.argmax(z))
+            shift = softmax(z + float(rng.normal()) * 7.0)
+            assert np.max(np.abs(shift - w)) <= 1e-9
 
         # Retrieval equals exhaustive search on 500 random instances with ties.
         for trial in range(500):
             kb = kb_with_embeddings(4, int(rng.integers(1, 8)), rng)
             raw = rng.integers(0, 3, size=4).astype(float)
             z = raw - raw.max()
-            w = SlotImportance(z=z, w=softmax(z))
+            w = softmax(z)
             h_bar = rng.normal(size=4)
             k = int(rng.integers(1, 5))
             got = retrieve_evidence(h_bar, kb, "a", w, k)
@@ -199,13 +199,13 @@ class TestCriterion4CounterfactualMargins:
             t = int(rng.integers(1, 7))
             h = TokenEmbeddingSeq(vectors=rng.normal(size=(t, d)), mask=np.ones(t, dtype=bool))
             v = "a" if trial % 2 else "n"
-            margins = counterfactual_margins(h, kb, f, v)
+            margins = margins_of(h, kb, f, v)
             assert abs(sum(margins.values())) <= 1e-9
-            flipped = counterfactual_margins(h, kb, f, "n" if v == "a" else "a")
+            flipped = margins_of(h, kb, f, "n" if v == "a" else "a")
             for aspect, value in margins.items():
                 assert flipped[aspect] == pytest.approx(-value, abs=1e-12)
             kb.prototypes["a"] = kb.prototypes["n"].copy()
-            identical = counterfactual_margins(h, kb, f, v)
+            identical = margins_of(h, kb, f, v)
             assert all(abs(x) <= 1e-12 for x in identical.values())
         note(4, "counterfactual margins sum to 0 (<=1e-9), vanish for identical prototypes, "
                 "and flip sign under class swap on 200 random instances")
@@ -299,9 +299,9 @@ class TestCriterion7HandCheckFixtures:
     def test_pinned_hand_values(self):
         # Scaled slot-attention example in one dimension.
         h = TokenEmbeddingSeq(vectors=np.array([[1.0], [3.0]]), mask=np.ones(2, dtype=bool))
-        res = slot_attention(np.array([[2.0]]), h)
-        assert np.array_equal(res.a, np.array([[2.0, 6.0]]))
-        assert np.array_equal(res.c, np.array([[20.0]]))
+        a, c = slot_attention(np.array([[2.0]]), h.vectors, h.mask)
+        assert np.array_equal(a, np.array([[2.0, 6.0]]))
+        assert np.array_equal(c, np.array([[20.0]]))
 
         # Fusion sigmoid at ln 3.
         assert 1.0 / (1.0 + math.exp(-math.log(3.0))) == pytest.approx(0.75, abs=1e-12)

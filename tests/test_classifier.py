@@ -36,7 +36,7 @@ from tbvad.classifier import (
     video_features,
 )
 from tbvad.corpus import CaptionCorpus, group_by_class, sample_evenly
-from tbvad.embedding import EmbedderConfig, TokenEmbeddingSeq, tokenize
+from tbvad.embedding import EmbedderConfig, tokenize
 from tbvad.errors import ModelFormatError, TbvadError, ValidationError
 from tbvad.evaluation import score_corpus
 from tbvad.knowledge import build_knowledge, class_agnostic_prototypes, default_prompts
@@ -607,10 +607,10 @@ class TestHeadMatchesExplainPath:
             for segment in fwd.segments:
                 head, b = fwd.heads[segment.group], segment.row
                 h, mask, a, c, w = head.h[b], head.mask[b], head.a[b], head.c[b], head.w[b]
-                att = slot_attention(protos, TokenEmbeddingSeq(vectors=h, mask=mask))
-                imp = slot_importance(att.c, protos, params.importance)
-                assert np.array_equal(att.a, a) and np.array_equal(att.c, c)
-                assert np.array_equal(imp.w, w)
+                att_a, att_c = slot_attention(protos, h, mask)
+                imp_w = slot_importance(att_c, protos, params.importance)
+                assert np.array_equal(att_a, a) and np.array_equal(att_c, c)
+                assert np.array_equal(imp_w, w)
             masked = fwd.segments[2]
             assert not fwd.heads[masked.group].mask[masked.row].all()
         assert np.ptp(w) > 0

@@ -11,18 +11,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tbvad.classifier import load_model, predict_video, save_model
 from tbvad.cli import (
     CONFIG_SCHEMA,
     DEFAULT_CONFIG,
     _deep_merge,
+    _embedder_configs,
     _load_kb,
     _prompts,
     _validate_config,
     main,
     resolve_config,
 )
-from tbvad.corpus import save_captions
-from tbvad.knowledge import AspectPrompt, default_prompts
+from tbvad.corpus import load_captions, save_captions
+from tbvad.knowledge import CLASSES, AspectPrompt, default_prompts
+from tbvad.reasoning import slot_attention, slot_importance
 from tbvad.remote import VectorCache
 from tbvad.synthetic import SyntheticConfig, generate_corpus
 
@@ -349,15 +352,73 @@ class TestEvalExplain:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("runtime error:") and "caption windows" in line
 
-    def test_eval_with_another_hash_seed_exits_1(self, workspace, capsys):
-        # The workspace knowledge was embedded with hash seed 5.
-        code, out, err = run_cli(capsys, "eval", "--config", workspace["cfg"], "--seed", "6",
-                                 "--captions", str(workspace["data"] / "test.jsonl"),
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    @pytest.mark.parametrize("key", ["seed", "embedder.d"])
+    def test_eval_with_another_hash_seed_exits_1(self, workspace, tmp_path, capsys, command, key):
+        # The workspace knowledge was embedded with hash seed 5 at d = 32.
+        test_jsonl = workspace["data"] / "test.jsonl"
+        if key == "seed":
+            flags = ["--config", workspace["cfg"], "--seed", "6"]
+            ours, theirs = "seed 6 does not match", "'s 5 "
+        else:
+            embedder = {"d": 16, "max_tokens": 512, "knowledge_max_tokens": 4096}
+            flags = ["--config", cli_config(tmp_path, embedder=embedder)]
+            ours, theirs = "d 16 does not match", "'s 32 "
+        if command == "explain":
+            flags += ["--video-id", load_captions(test_jsonl).videos[0].video_id]
+        code, out, err = run_cli(capsys, command, *flags, "--captions", str(test_jsonl),
                                  "--knowledge", str(workspace["kb"]),
                                  "--model", str(workspace["model"]))
         assert code == 1 and out == ""
         (line,) = err.splitlines()
-        assert line.startswith("error:") and "seed 6 does not match" in line and "'s 5 " in line
+        assert line.startswith("error:") and ours in line and theirs in line
+
+    def test_explain_when_scores_tie_within_exp_resolution(self, workspace, tmp_path, capsys):
+        # Slot scores about 1e-30 apart: softmax gives every slot the same weight.
+        model = load_model(workspace["model"])
+        model.importance.w2[:] = 1e-30
+        model.importance.b2[:] = 0.0
+        path = tmp_path / "flat.tbvm"
+        save_model(model, path)
+        test_jsonl = workspace["data"] / "test.jsonl"
+        for video in load_captions(test_jsonl).videos:
+            code, out, err = run_cli(capsys, "explain", "--config", workspace["cfg"],
+                                     "--captions", str(test_jsonl),
+                                     "--knowledge", str(workspace["kb"]), "--model", str(path),
+                                     "--video-id", video.video_id, "--counterfactual")
+            assert code == 0, err
+            record = json.loads(out)
+            assert set(record["slot_weights"].values()) == {0.25}
+            assert set(record["margins"].values()) == {0.0}
+
+    def test_record_is_the_per_class_calls(self, workspace, capsys):
+        # Weights: the predicted class's call.  Margins: its call minus the other class's.
+        test_jsonl = workspace["data"] / "test.jsonl"
+        args = argparse.Namespace(config=workspace["cfg"], knowledge=str(workspace["kb"]))
+        cfg = resolve_config(args)
+        kb = _load_kb(args, cfg)
+        model = load_model(workspace["model"])
+        labels = set()
+        for video in load_captions(test_jsonl).videos:
+            code, out, _ = run_cli(capsys, "explain", "--config", workspace["cfg"],
+                                   "--captions", str(test_jsonl),
+                                   "--knowledge", str(workspace["kb"]),
+                                   "--model", str(workspace["model"]),
+                                   "--video-id", video.video_id, "--counterfactual")
+            assert code == 0
+            record = json.loads(out)
+            y, _, h_d = predict_video(video, kb, model, _embedder_configs(cfg)[0])
+            w = {}
+            for v in CLASSES:
+                _, c = slot_attention(kb.prototypes[v], h_d.vectors, h_d.mask)
+                w[v] = slot_importance(c, kb.prototypes[v], model.importance)
+            ours, other = ("a", "n") if y >= 0.5 else ("n", "a")
+            assert record["slot_weights"] == {aspect: float(w[ours][i])
+                                              for i, aspect in enumerate(kb.aspects)}
+            assert record["margins"] == {aspect: float(w[ours][i] - w[other][i])
+                                         for i, aspect in enumerate(kb.aspects)}
+            labels.add(record["label"])
+        assert labels == {"normal", "abnormal"}
 
     def test_knowledge_load_uses_configured_max_parallel(self, workspace, tmp_path):
         cfg = cli_config(tmp_path, embedder={"d": 32, "max_tokens": 512, "max_parallel": 3})

@@ -29,7 +29,7 @@ from tbvad.classifier import (
 from tbvad.cli import _load_combos, resolve_config
 from tbvad.corpus import CaptionCorpus, load_captions
 from tbvad.embedding import EmbedderConfig
-from tbvad.errors import TbvadError
+from tbvad.errors import ModelFormatError, TbvadError, ValidationError
 from tbvad.knowledge import build_knowledge, default_prompts, load_knowledge
 from tbvad.remote import VectorCache
 
@@ -125,6 +125,29 @@ def test_damaged_file_loads_or_raises_tbvad_error(tmp_path, name, edit):
         load(path)
     except TbvadError:
         pass
+
+
+# 100,000 nested arrays: past the JSON decoder's recursion limit.
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+def _deeply_nested(name: str, data: bytes) -> bytes:
+    """A file of loader ``name`` whose JSON is ``DEEP``; a model keeps its tensor blocks."""
+    if "model" not in name:
+        return DEEP + b"\n"
+    (header_len,) = struct.unpack_from("<Q", data, 4)
+    return data[:4] + struct.pack("<Q", len(DEEP)) + DEEP + data[12 + header_len:]
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_deeply_nested_json_raises_tbvad_error(tmp_path, name):
+    data, load = LOADERS[name]
+    path = tmp_path / name
+    path.write_bytes(_deeply_nested(name, data))
+    with pytest.raises(ModelFormatError if "model" in name else ValidationError) as info:
+        load(path)
+    if name == "captions":
+        assert str(info.value).startswith(f"{path}:1: ")
 
 
 PACK_ITEMS = [(VectorCache.key("http://stub", 4, word), np.arange(4, dtype=np.float32) + i)

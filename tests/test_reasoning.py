@@ -6,17 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tbvad.embedding import EmbedderConfig, TokenEmbeddingSeq, cosine_similarity
 from tbvad.errors import ValidationError
-from tbvad.knowledge import ASPECTS, KnowledgeBase, SlotSummary
+from tbvad.knowledge import ASPECTS, CLASSES, KnowledgeBase, SlotSummary
 from tbvad.reasoning import (
     Evidence,
     ExplanationRecord,
     ImportanceParams,
-    SlotImportance,
     attach_rationale,
-    attend,
     build_record,
     counterfactual_margins,
     generate_explanation,
@@ -61,23 +60,30 @@ def kb_with_embeddings(d, sentence_counts, rng, aspects=ASPECTS):
     return kb
 
 
+def margins_of(h, kb, f, predicted_v):
+    """Explain's margins: both classes' prototypes stacked and scored in one pass."""
+    protos = np.stack([kb.prototypes[v] for v in CLASSES])
+    _, c = slot_attention(protos, h.vectors, h.mask)
+    return counterfactual_margins(slot_importance(c, protos, f), predicted_v, kb.aspects)
+
+
 class TestSlotAttention:
     def test_hand_arithmetic_d1(self):
         h = seq(np.array([[1.0], [3.0]]))
-        res = slot_attention(np.array([[2.0]]), h)
-        assert np.array_equal(res.a, np.array([[2.0, 6.0]]))
-        assert np.array_equal(res.c, np.array([[20.0]]))
+        a, c = slot_attention(np.array([[2.0]]), h.vectors, h.mask)
+        assert np.array_equal(a, np.array([[2.0, 6.0]]))
+        assert np.array_equal(c, np.array([[20.0]]))
 
     def test_zero_prototypes(self):
         h = seq(np.random.default_rng(0).normal(size=(5, 4)))
-        res = slot_attention(np.zeros((3, 4)), h)
-        assert np.all(res.a == 0.0) and np.all(res.c == 0.0)
+        a, c = slot_attention(np.zeros((3, 4)), h.vectors, h.mask)
+        assert np.all(a == 0.0) and np.all(c == 0.0)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(1)
         k_v = rng.normal(size=(4, 8))
         h = seq(rng.normal(size=(6, 8)))
-        res = slot_attention(k_v, h)
+        got_a, got_c = slot_attention(k_v, h.vectors, h.mask)
         a = np.zeros((4, 6))
         for s in range(4):
             for t in range(6):
@@ -89,41 +95,36 @@ class TestSlotAttention:
             for j in range(8):
                 for t in range(6):
                     c[s, j] += a[s, t] * h.vectors[t, j]
-        assert np.max(np.abs(res.a - a)) <= 1e-10
-        assert np.max(np.abs(res.c - c)) <= 1e-10
+        assert np.max(np.abs(got_a - a)) <= 1e-10
+        assert np.max(np.abs(got_c - c)) <= 1e-10
 
     def test_masked_columns_zeroed(self):
         rng = np.random.default_rng(2)
         vecs = rng.normal(size=(4, 3))
         vecs[2] = 0.0
         h = seq(vecs, mask=[True, True, False, True])
-        res = slot_attention(rng.normal(size=(2, 3)), h)
-        assert np.all(res.a[:, 2] == 0.0)
+        a, _ = slot_attention(rng.normal(size=(2, 3)), h.vectors, h.mask)
+        assert np.all(a[:, 2] == 0.0)
 
     def test_linear_in_prototypes(self):
         rng = np.random.default_rng(3)
         k_v = rng.normal(size=(4, 5))
         h = seq(rng.normal(size=(7, 5)))
-        one = slot_attention(k_v, h)
-        scaled = slot_attention(2.5 * k_v, h)
-        assert np.max(np.abs(scaled.a - 2.5 * one.a)) <= 1e-12
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            slot_attention(np.zeros((2, 3)), seq(np.zeros((2, 4)), mask=[True, True]))
+        one, _ = slot_attention(k_v, h.vectors, h.mask)
+        scaled, _ = slot_attention(2.5 * k_v, h.vectors, h.mask)
+        assert np.max(np.abs(scaled - 2.5 * one)) <= 1e-12
 
 
 class TestSlotImportance:
     def test_zero_network_gives_uniform(self):
         f = ImportanceParams(w1=np.zeros((4, 8)), b1=np.zeros(4), w2=np.zeros(4), b2=np.zeros(1))
         rng = np.random.default_rng(5)
-        imp = slot_importance(rng.normal(size=(4, 4)), rng.normal(size=(4, 4)), f)
-        assert np.allclose(imp.w, 0.25)
+        w = slot_importance(rng.normal(size=(4, 4)), rng.normal(size=(4, 4)), f)
+        assert np.allclose(w, 0.25)
 
     def test_softmax_hand_case(self):
         w = softmax(np.array([math.log(2.0), 0.0, 0.0, 0.0]))
         assert np.allclose(w, [0.4, 0.2, 0.2, 0.2])
-        SlotImportance(z=np.array([math.log(2.0), 0.0, 0.0, 0.0]), w=w)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(6)
@@ -131,10 +132,6 @@ class TestSlotImportance:
             z = rng.normal(size=4) * 3
             c = float(rng.normal()) * 10
             assert np.max(np.abs(softmax(z) - softmax(z + c))) <= 1e-9
-
-    def test_argmax_consistency_enforced(self):
-        with pytest.raises(ValidationError):
-            SlotImportance(z=np.array([1.0, 0.0]), w=np.array([0.1, 0.9]))
 
     def test_importance_gradients_match_fd(self):
         rng = np.random.default_rng(7)
@@ -183,12 +180,12 @@ class TestStackedSlices:
         mask[1, 3:] = False
         h[1, 3:] = 0.0
         dz = rng.normal(size=(b, s))
-        a, c = attend(k_v, h, mask)
+        a, c = slot_attention(k_v, h, mask)
         z, cache = importance_forward(c, k_v, f)
         w = softmax(z)
         dc, grads, dpre = importance_backward(dz, cache, f)
         for i in range(b):
-            a1, c1 = attend(k_v, h[i], mask[i])
+            a1, c1 = slot_attention(k_v, h[i], mask[i])
             z1, cache1 = importance_forward(c1, k_v, f)
             dc1, grads1, dpre1 = importance_backward(dz[i], cache1, f)
             assert np.array_equal(a[i], a1) and np.array_equal(c[i], c1)
@@ -199,9 +196,32 @@ class TestStackedSlices:
             for name, grad in grads1.items():
                 assert np.array_equal(grads[name][i], grad), name
 
+    @pytest.mark.parametrize("d", [1, 3, 16, 64])
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.integers(1, 4), mask=st.lists(st.booleans(), min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_class_row_equals_its_own_call(self, d, s, mask, seed):
+        # Explain scores a (2, S, d) stack of both classes' prototypes.
+        rng = np.random.default_rng(seed)
+        mask = np.array(mask)
+        mask[rng.integers(len(mask))] = True
+
+        def spread(*shape):  # magnitudes from 1e-3 to 1e3
+            return rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+
+        h = spread(len(mask), d) * mask[:, None]
+        protos = spread(2, s, d)
+        f = init_importance_params(d, seed=seed)
+        a, c = slot_attention(protos, h, mask)
+        w = slot_importance(c, protos, f)
+        for i in range(2):
+            a1, c1 = slot_attention(protos[i], h, mask)
+            assert np.array_equal(a[i], a1) and np.array_equal(c[i], c1)
+            assert np.array_equal(w[i], slot_importance(c1, protos[i], f))
+
 
 def retrieval_oracle(h_bar, kb, class_v, w, k):
-    order = sorted(range(len(kb.aspects)), key=lambda i: (-w.w[i], i))
+    order = sorted(range(len(kb.aspects)), key=lambda i: (-w[i], i))
     out = []
     for idx in order:
         if len(out) == k:
@@ -221,7 +241,7 @@ class TestRetrieveEvidence:
     def test_k_equals_slots_single_sentences(self):
         rng = np.random.default_rng(8)
         kb = kb_with_embeddings(6, 1, rng)
-        w = SlotImportance(z=np.zeros(4), w=np.full(4, 0.25))
+        w = np.full(4, 0.25)
         evs = retrieve_evidence(rng.normal(size=6), kb, "a", w, k=4)
         assert len(evs) == 4
         assert [e.aspect for e in evs] == list(ASPECTS)  # tie -> canonical order
@@ -231,8 +251,7 @@ class TestRetrieveEvidence:
         rng = np.random.default_rng(9)
         kb = kb_with_embeddings(6, 3, rng)
         target = kb.sentence_embeddings[("n", "action")][1]
-        w = SlotImportance(z=np.array([0.0, 5.0, 0.0, 0.0]),
-                           w=softmax(np.array([0.0, 5.0, 0.0, 0.0])))
+        w = softmax(np.array([0.0, 5.0, 0.0, 0.0]))
         evs = retrieve_evidence(target, kb, "n", w, k=1)
         assert evs[0].aspect == "action"
         assert evs[0].similarity == pytest.approx(1.0)
@@ -245,7 +264,7 @@ class TestRetrieveEvidence:
             # Quantized weights force frequent ties.
             raw = rng.integers(0, 3, size=4).astype(float)
             z = raw - raw.max()
-            w = SlotImportance(z=z, w=softmax(z))
+            w = softmax(z)
             h_bar = rng.normal(size=5)
             k = int(rng.integers(1, 5))
             got = retrieve_evidence(h_bar, kb, "a", w, k)
@@ -258,8 +277,7 @@ class TestRetrieveEvidence:
         emb = kb.sentence_embeddings[("a", "context")]
         emb[2] = emb[0]  # duplicate embedding; index 0 must win
         h_bar = emb[0].copy()
-        w = SlotImportance(z=np.array([9.0, 0.0, 0.0, 0.0]),
-                           w=softmax(np.array([9.0, 0.0, 0.0, 0.0])))
+        w = softmax(np.array([9.0, 0.0, 0.0, 0.0]))
         evs = retrieve_evidence(h_bar, kb, "a", w, k=1)
         assert evs[0].sentence == kb.slots[("a", "context")].sentences[0]
 
@@ -268,15 +286,14 @@ class TestRetrieveEvidence:
         kb = kb_with_embeddings(4, 2, rng)
         object.__setattr__(kb.slots[("a", "action")], "sentences", ())
         kb.sentence_embeddings[("a", "action")] = np.zeros((0, 4))
-        w = SlotImportance(z=np.array([0.0, 9.0, 1.0, 0.0]),
-                           w=softmax(np.array([0.0, 9.0, 1.0, 0.0])))
+        w = softmax(np.array([0.0, 9.0, 1.0, 0.0]))
         evs = retrieve_evidence(rng.normal(size=4), kb, "a", w, k=2)
         assert [e.aspect for e in evs] == ["object", "context"]
 
     def test_membership_of_retrieved_sentences(self):
         rng = np.random.default_rng(13)
         kb = kb_with_embeddings(5, 4, rng)
-        w = SlotImportance(z=np.zeros(4), w=np.full(4, 0.25))
+        w = np.full(4, 0.25)
         for ev in retrieve_evidence(rng.normal(size=5), kb, "n", w, k=3):
             assert ev.sentence in kb.slots[(ev.class_v, ev.aspect)].sentences
 
@@ -288,7 +305,7 @@ class TestCounterfactualMargins:
         kb.prototypes["a"] = kb.prototypes["n"].copy()
         f = init_importance_params(6, seed=1)
         h = seq(rng.normal(size=(5, 6)))
-        margins = counterfactual_margins(h, kb, f, "a")
+        margins = margins_of(h, kb, f, "a")
         assert all(abs(v) <= 1e-12 for v in margins.values())
 
     def test_margins_sum_to_zero(self):
@@ -297,7 +314,7 @@ class TestCounterfactualMargins:
             kb = kb_with_embeddings(6, 2, rng)
             f = init_importance_params(6, seed=trial)
             h = seq(rng.normal(size=(4, 6)))
-            margins = counterfactual_margins(h, kb, f, "n")
+            margins = margins_of(h, kb, f, "n")
             assert abs(sum(margins.values())) <= 1e-9
 
     def test_sign_flips_under_class_swap(self):
@@ -305,8 +322,8 @@ class TestCounterfactualMargins:
         kb = kb_with_embeddings(6, 2, rng)
         f = init_importance_params(6, seed=3)
         h = seq(rng.normal(size=(4, 6)))
-        m_a = counterfactual_margins(h, kb, f, "a")
-        m_n = counterfactual_margins(h, kb, f, "n")
+        m_a = margins_of(h, kb, f, "a")
+        m_n = margins_of(h, kb, f, "n")
         for aspect in ASPECTS:
             assert m_a[aspect] == pytest.approx(-m_n[aspect], abs=1e-12)
 
@@ -326,7 +343,7 @@ class TestCounterfactualMargins:
             w2=np.ones(d),
             b2=np.zeros(1),
         )
-        margins = counterfactual_margins(h, kb, f, "a")
+        margins = margins_of(h, kb, f, "a")
         assert margins["action"] > 0.0
 
 
