@@ -724,10 +724,12 @@ def _tensor_shapes(cfg: ModelConfig):
                 "gate": (1,)}.items()
 
 
-def load_model(path) -> ModelParams:
+def load_model(path, *, digest: bool = False):
     """Read a model file whose header lists exactly its config's tensors, in order.
 
     That list is ``_tensor_shapes(config)``; the file holds exactly their blocks.
+    Returns the model; with ``digest``, ``(model, SHA-256 hex of the bytes it
+    was parsed from)``, so a caller that records the file's digest reads it once.
     """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != MODEL_MAGIC:
@@ -778,6 +780,7 @@ def load_model(path) -> ModelParams:
     except ValidationError as e:
         raise ModelFormatError(f"header config is inconsistent: {e}") from e
     importance = {f: tensors[f"importance.{f}"] for f in ImportanceParams.FIELDS}
-    return ModelParams(
+    model = ModelParams(
         config=cfg, encoder=encoder, importance=ImportanceParams(**importance),
         **{name: tensors[name] for name in ("w_v", "b_v", "fuse_w", "fuse_b", "gate")})
+    return (model, hashlib.sha256(data).hexdigest()) if digest else model

@@ -18,6 +18,7 @@ import copy
 import functools
 import hashlib
 import json
+import logging
 import os
 import sys
 from contextlib import contextmanager
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import TrainConfig, load_model, model_digest, predict_video, save_model, train
-from .corpus import group_by_class, load_captions
+from .corpus import CHECKED_MARKERS, CaptionCorpus, group_by_class, load_captions, read_caption_file
 from .embedding import KNOWLEDGE_MAX_TOKENS, EmbedderConfig, mean_pool
 from .errors import TbvadError, ValidationError
 from .evaluation import (
@@ -61,8 +62,10 @@ from .reasoning import (
     slot_attention,
     slot_importance,
 )
-from .remote import default_cache_dir
+from .remote import atomic_write, default_cache_dir
 from .synthetic import domain_config, write_corpus
+
+logger = logging.getLogger(__name__)
 
 # Nested schema of recognized config keys; unknown keys are rejected.
 CONFIG_SCHEMA = {
@@ -376,7 +379,7 @@ def cmd_eval(args) -> int:
     _require(args, "captions", "knowledge", "model")
     corpus = load_captions(args.captions)
     kb = _load_kb(args, cfg)
-    model = load_model(args.model)
+    model, model_sha = load_model(args.model, digest=True)
     desc_emb, _ = _embedder_configs(cfg)
     report = evaluate_model(corpus, kb, model, desc_emb, digest=config_digest(cfg))
     report = _metric_filter(report, getattr(args, "metric", None))
@@ -385,18 +388,41 @@ def cmd_eval(args) -> int:
         _append_run_log(out_dir, "eval", cfg,
                         {"captions": _file_digest(args.captions),
                          "knowledge": _file_digest(args.knowledge),
-                         "model": _file_digest(args.model)}, outputs)
+                         "model": model_sha}, outputs)
         _report_to_streams(report, args)
     return 0
+
+
+def load_video_captions(path, video_id: str, cache_dir: str | None) -> tuple[CaptionCorpus, str]:
+    """One video's captions and the caption file's SHA-256, from one read of the file.
+
+    With a cache directory, an empty marker ``<cache_dir>/captions-v1/<sha256>``
+    records that these exact bytes passed a full load: with it, only the lines
+    that can hold the video's records are decoded; without it, every line is
+    checked and a load that succeeds writes the marker.  A marker that cannot
+    be written is skipped with a warning.
+    """
+    data = read_caption_file(path)
+    sha = hashlib.sha256(data).hexdigest()
+    marker = Path(cache_dir, CHECKED_MARKERS, sha) if cache_dir else None
+    checked = marker is not None and os.path.exists(marker)
+    corpus = load_captions(path, video_id=video_id, data=data, checked=checked)
+    if marker is not None and not checked:
+        try:
+            marker.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write(marker, b"")
+        except (OSError, ValueError) as e:
+            logger.warning("caption check marker not written: %s", e)
+    return corpus, sha
 
 
 def cmd_explain(args) -> int:
     cfg = resolve_config(args)
     _require(args, "captions", "knowledge", "model", "video-id")
-    corpus = load_captions(args.captions, video_id=args.video_id)
+    corpus, captions_sha = load_video_captions(args.captions, args.video_id, _cache_dir(cfg))
     video = corpus.video(args.video_id)
     kb = _load_kb(args, cfg)
-    model = load_model(args.model)
+    model, model_sha = load_model(args.model, digest=True)
     desc_emb, _ = _embedder_configs(cfg)
 
     y, _, h_d = predict_video(video, kb, model, desc_emb)
@@ -411,8 +437,8 @@ def cmd_explain(args) -> int:
     if getattr(args, "counterfactual", False):
         margins = counterfactual_margins(w, predicted_v, kb.aspects)
     weights = {aspect: float(w_pred[i]) for i, aspect in enumerate(kb.aspects)}
-    inputs = {name: _file_digest(getattr(args, name))
-              for name in ("captions", "knowledge", "model")}
+    inputs = {"captions": captions_sha, "knowledge": _file_digest(args.knowledge),
+              "model": model_sha}
     record = build_record(video.video_id, y, weights, evidences, margins,
                           model_digest=inputs["model"])
     gen_endpoint = cfg["endpoints"].get("generate")

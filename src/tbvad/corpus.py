@@ -16,10 +16,20 @@ with the C scanner that ``json.loads`` itself ends in, falling back to
 and rejects exactly what per-line ``json.loads`` plus ``isinstance`` checks
 did, with the same messages.  Asked for one video, it still checks every
 line, but builds a ``Caption`` only for that video's lines.
+
+A caller that has read the file's bytes can pass them in, and say that
+these exact bytes already passed a full load under the rules that
+``CHECKED_MARKERS`` names (``explain`` keeps an empty marker file per
+SHA-256 for this).  Such a load decodes only the lines that can hold a
+record of the asked video: those that write the id literally between
+quotes, or hold any backslash.  If one of them is not a valid record, every
+line is checked after all, so a bad line of the asked video still gives the
+full load's error; the other lines are trusted to the marker.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import json.decoder
 import json.scanner
@@ -36,6 +46,9 @@ _WHITESPACE_RE = re.compile(r"\s+")
 # The scanner and whitespace pattern that ``json.loads`` runs for a str.
 _SCAN = json.scanner.make_scanner(json.JSONDecoder())
 _JSON_WHITESPACE = json.decoder.WHITESPACE.match
+# Names the loader's accept/reject rules for markers of fully checked files.  A
+# stricter loader bumps it, so it never trusts a marker an older one wrote.
+CHECKED_MARKERS = "captions-v1"
 
 
 @dataclass(frozen=True)
@@ -107,9 +120,8 @@ class CaptionCorpus:
         return [c.text for v in self.videos for c in v.captions]
 
 
-def _utf8_error(path: Path) -> str:
-    """Name the line of the first byte in ``path`` that is not UTF-8."""
-    data = path.read_bytes()
+def _utf8_error(path: Path, data: bytes) -> str:
+    """Name the line of the first byte in ``data``, read from ``path``, that is not UTF-8."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -130,8 +142,86 @@ def _record_error(rec) -> str:
     raise AssertionError(f"record passes every field check: {rec!r}")
 
 
+def _existing(path: str | Path) -> Path:
+    path = Path(path)
+    if not path.exists():
+        raise ValidationError(f"caption file does not exist: {path}")
+    return path
+
+
+def read_caption_file(path: str | Path) -> bytes:
+    """The bytes of a caption file, for a caller that also hashes them."""
+    return _existing(path).read_bytes()
+
+
+def _check_lines(lines, path: Path, video_id: str | None) -> dict[str, tuple[str, set[int], list[Caption]]]:
+    """Decode and check each line; per video, its label, frame indices and kept captions."""
+    videos: dict[str, tuple[str, set[int], list[Caption]]] = {}
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            rec, end = _SCAN(line, 0)
+            whole = line[end:] == "\n" or _JSON_WHITESPACE(line, end).end() == len(line)
+        except (StopIteration, ValueError, RecursionError):
+            whole = False
+        if not whole:
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValidationError(f"{path}:{lineno}: malformed JSON ({e.msg})") from e
+            except RecursionError as e:
+                raise ValidationError(f"{path}:{lineno}: malformed JSON ({e})") from e
+        if not (type(rec) is dict
+                and type(vid := rec.get("video_id")) is str
+                and type(fidx := rec.get("frame_index")) is int
+                and type(label := rec.get("label")) is str
+                and type(text := rec.get("text")) is str):
+            raise ValidationError(f"{path}:{lineno}: {_record_error(rec)}")
+        if label not in LABELS:
+            raise ValidationError(f"{path}:{lineno}: label must be one of {LABELS}, got {label!r}")
+        entry = videos.get(vid)
+        if entry is None:
+            entry = videos[vid] = (label, set(), [])
+        elif fidx in entry[1]:
+            raise ValidationError(f"{path}:{lineno}: duplicate (video_id, frame_index) = ({vid!r}, {fidx})")
+        elif entry[0] != label:
+            raise ValidationError(f"{path}:{lineno}: label {label!r} disagrees with earlier "
+                                  f"label {entry[0]!r} for video {vid!r}")
+        entry[1].add(fidx)
+        if (error := _caption_error(vid, fidx, text)) is not None:
+            raise ValidationError(f"{path}:{lineno}: {error}")
+        if video_id is None or vid == video_id:
+            entry[2].append(Caption(vid, fidx, text))
+    return videos
+
+
+def _candidate_lines(data: bytes, video_id: str) -> list[str]:
+    """The lines of ``data`` that can hold a record of ``video_id``.
+
+    A record names its video either by writing the id literally between
+    quotes, which is ``json.dumps(video_id, ensure_ascii=False)``, or with
+    an escape, so these are the lines holding that text or a backslash.
+    Raises UnicodeError for an id that is not UTF-8 (a lone surrogate) and
+    for a candidate line that is not.
+    """
+    quoted = json.dumps(video_id, ensure_ascii=False).encode("utf-8")
+    if b"\r" in data:  # universal newlines, as the text-mode load reads them
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    spans = {}
+    for needle in (quoted, b"\\"):
+        at = data.find(needle)
+        while at != -1:
+            start = data.rfind(b"\n", 0, at) + 1
+            end = data.find(b"\n", at) + 1 or len(data)
+            spans[start] = end
+            at = data.find(needle, end)
+    return [data[start:end].decode("utf-8") for start, end in sorted(spans.items())]
+
+
 def load_captions(path: str | Path, source_tag: str | None = None, *,
-                  video_id: str | None = None) -> CaptionCorpus:
+                  video_id: str | None = None, data: bytes | None = None,
+                  checked: bool = False) -> CaptionCorpus:
     """Load a JSONL caption file into a validated corpus.
 
     The file is read line by line through a text-mode handle, so line
@@ -152,57 +242,31 @@ def load_captions(path: str | Path, source_tag: str | None = None, *,
     rule included, but no ``Caption`` is built for the other videos' lines;
     only their labels and frame indices are kept, for the duplicate and
     label checks.
+
+    ``data`` is the file's bytes, already read by the caller; the same text
+    stream then runs over them.  ``checked`` (with ``video_id`` and
+    ``data``) says these exact bytes have passed a full load under
+    ``CHECKED_MARKERS``: only the lines that can hold a record of the video
+    are decoded and checked.  Should one of them fail, every line is
+    checked as above, so the result and any error are a full load's.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"caption file does not exist: {path}")
-
-    # Per video: its label, the frame indices seen so far and the captions kept.
-    videos: dict[str, tuple[str, set[int], list[Caption]]] = {}
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    rec, end = _SCAN(line, 0)
-                    whole = line[end:] == "\n" or _JSON_WHITESPACE(line, end).end() == len(line)
-                except (StopIteration, ValueError, RecursionError):
-                    whole = False
-                if not whole:
-                    if not line.strip():
-                        continue
-                    try:
-                        rec = json.loads(line)
-                    except json.JSONDecodeError as e:
-                        raise ValidationError(f"{path}:{lineno}: malformed JSON ({e.msg})") from e
-                    except RecursionError as e:
-                        raise ValidationError(f"{path}:{lineno}: malformed JSON ({e})") from e
-                if not (type(rec) is dict
-                        and type(vid := rec.get("video_id")) is str
-                        and type(fidx := rec.get("frame_index")) is int
-                        and type(label := rec.get("label")) is str
-                        and type(text := rec.get("text")) is str):
-                    raise ValidationError(f"{path}:{lineno}: {_record_error(rec)}")
-                if label not in LABELS:
-                    raise ValidationError(f"{path}:{lineno}: label must be one of {LABELS}, got {label!r}")
-                entry = videos.get(vid)
-                if entry is None:
-                    entry = videos[vid] = (label, set(), [])
-                elif fidx in entry[1]:
-                    raise ValidationError(f"{path}:{lineno}: duplicate (video_id, frame_index) = ({vid!r}, {fidx})")
-                elif entry[0] != label:
-                    raise ValidationError(f"{path}:{lineno}: label {label!r} disagrees with earlier "
-                                          f"label {entry[0]!r} for video {vid!r}")
-                entry[1].add(fidx)
-                if (error := _caption_error(vid, fidx, text)) is not None:
-                    raise ValidationError(f"{path}:{lineno}: {error}")
-                if video_id is None or vid == video_id:
-                    entry[2].append(Caption(vid, fidx, text))
-    except UnicodeDecodeError as e:
-        raise ValidationError(_utf8_error(path)) from e
-
-    # Every non-blank line either raised or added a frame to its video.
-    if not videos:
-        raise ValidationError(f"caption file is empty: {path}")
+    path = _existing(path)
+    videos = None
+    if checked:
+        try:
+            videos = _check_lines(_candidate_lines(data, video_id), path, video_id)
+        except (UnicodeError, ValidationError):
+            videos = None
+    if videos is None:
+        try:
+            with (path.open("r", encoding="utf-8") if data is None
+                  else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")) as fh:
+                videos = _check_lines(fh, path, video_id)
+        except UnicodeDecodeError as e:
+            raise ValidationError(_utf8_error(path, path.read_bytes() if data is None else data)) from e
+        # Every non-blank line either raised or added a frame to its video.
+        if not videos:
+            raise ValidationError(f"caption file is empty: {path}")
 
     return CaptionCorpus(
         videos=tuple(

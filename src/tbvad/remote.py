@@ -79,7 +79,7 @@ def post_json(url: str, payload: dict) -> dict:
     raise RemoteServiceError(f"POST {url} failed: {last_error}", attempts=RETRIES)
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     tmp.write_bytes(data)
     os.replace(tmp, path)
@@ -152,7 +152,7 @@ class VectorCache:
         keys = [bytes.fromhex(key) for key, _ in items]
         rows = np.stack([np.asarray(vec, dtype="<f4") for _, vec in items])
         data = b"".join([_PACK_HEADER.pack(*rows.shape), *keys, rows.tobytes()])
-        _atomic_write(self.dir / f"{hashlib.sha256(data).hexdigest()}.vecs", data)
+        atomic_write(self.dir / f"{hashlib.sha256(data).hexdigest()}.vecs", data)
         for key, row in zip(keys, rows):
             index.setdefault(key, row)
 
@@ -184,4 +184,4 @@ class TextCache:
         return path.read_text(encoding="utf-8")
 
     def put(self, key: str, text: str) -> None:
-        _atomic_write(self._path(key), text.encode("utf-8"))
+        atomic_write(self._path(key), text.encode("utf-8"))

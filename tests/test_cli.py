@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tbvad.corpus
 from tbvad.classifier import load_model, predict_video, save_model
 from tbvad.cli import (
     CONFIG_SCHEMA,
@@ -23,7 +24,7 @@ from tbvad.cli import (
     main,
     resolve_config,
 )
-from tbvad.corpus import load_captions, save_captions
+from tbvad.corpus import Caption, load_captions, save_captions
 from tbvad.knowledge import CLASSES, AspectPrompt, default_prompts
 from tbvad.reasoning import slot_attention, slot_importance
 from tbvad.remote import VectorCache
@@ -508,6 +509,124 @@ class TestEvalExplain:
         assert code == 0
         stats = json.loads(out)
         assert stats["avg_len"] > 0 and stats["tfidf"] >= 0
+
+    @pytest.mark.parametrize("command", ["explain", "eval"])
+    def test_model_digest_is_of_the_scored_bytes(self, workspace, tmp_path, capsys,
+                                                 monkeypatch, command):
+        # The file changes right after it is loaded: the logged digest must still
+        # name the bytes that were scored, not a second read of the file.
+        model = tmp_path / "model.tbvm"
+        scored = workspace["model"].read_bytes()
+        model.write_bytes(scored)
+        real_load = load_model
+
+        def load_then_replace(path, **kwargs):
+            loaded = real_load(path, **kwargs)
+            raw = bytearray(Path(path).read_bytes())
+            raw[-1] ^= 1
+            Path(path).write_bytes(raw)
+            return loaded
+
+        monkeypatch.setattr("tbvad.cli.load_model", load_then_replace)
+        test_jsonl = workspace["data"] / "test.jsonl"
+        vid = load_captions(test_jsonl).videos[0].video_id
+        argv = [command, "--config", workspace["cfg"], "--captions", str(test_jsonl),
+                "--knowledge", str(workspace["kb"]), "--model", str(model)]
+        code, out, err = run_cli(capsys, *argv, *(["--video-id", vid] if command == "explain" else []))
+        assert code == 0, err
+        assert model.read_bytes() != scored
+        want = hashlib.sha256(scored).hexdigest()
+        logged = json.loads((tmp_path / "runs.log").read_text(encoding="utf-8").splitlines()[-1])
+        assert logged["input_digests"]["model"] == want
+        if command == "explain":
+            assert json.loads(out)["model_digest"] == want
+
+
+def cached_config(workspace, tmp_path, cache_dir) -> str:
+    """The workspace's config file with ``embedder.cache_dir`` set."""
+    cfg = json.loads(Path(workspace["cfg"]).read_text(encoding="utf-8"))
+    cfg["embedder"]["cache_dir"] = str(cache_dir)
+    path = tmp_path / "cached.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(path)
+
+
+def last_run_log(directory: Path) -> dict:
+    return json.loads((directory / "runs.log").read_text(encoding="utf-8").splitlines()[-1])
+
+
+class TestExplainCaptionMarkers:
+    """A caption file's bytes that passed a full load are not checked line by line again."""
+
+    def explain(self, capsys, workspace, config, captions, vid):
+        return run_cli(capsys, "explain", "--config", config, "--captions", str(captions),
+                       "--knowledge", str(workspace["kb"]), "--model", str(workspace["model"]),
+                       "--video-id", vid, "--counterfactual")
+
+    def test_warm_explain_decodes_only_its_videos_lines(self, workspace, tmp_path, capsys,
+                                                         monkeypatch):
+        test_jsonl = workspace["data"] / "test.jsonl"
+        videos = load_captions(test_jsonl).videos
+        cache = tmp_path / "cache"
+        cached = cached_config(workspace, tmp_path, cache)
+        code, _, err = self.explain(capsys, workspace, cached, test_jsonl, videos[0].video_id)
+        assert code == 0, err
+        marker = cache / "captions-v1" / hashlib.sha256(test_jsonl.read_bytes()).hexdigest()
+        assert marker.is_file() and marker.stat().st_size == 0
+
+        target = videos[-1]
+        plain = self.explain(capsys, workspace, workspace["cfg"], test_jsonl, target.video_id)
+        plain_log = last_run_log(tmp_path)
+        built, scanned = [], []
+
+        class CountingCaption(Caption):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        scan = tbvad.corpus._SCAN
+
+        def counting_scan(line, idx):
+            scanned.append(line)
+            return scan(line, idx)
+
+        monkeypatch.setattr("tbvad.corpus.Caption", CountingCaption)
+        monkeypatch.setattr("tbvad.corpus._SCAN", counting_scan)
+        warm = self.explain(capsys, workspace, cached, test_jsonl, target.video_id)
+        assert warm == plain and warm[0] == 0
+        assert last_run_log(tmp_path)["input_digests"] == plain_log["input_digests"]
+        assert len(built) == len(scanned) == len(target.captions)
+        assert marker.is_file()
+
+    def test_cache_dir_that_is_a_file_gives_the_same_record(self, workspace, tmp_path, capsys,
+                                                             caplog):
+        test_jsonl = workspace["data"] / "test.jsonl"
+        vid = load_captions(test_jsonl).videos[1].video_id
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory", encoding="utf-8")
+        cached = cached_config(workspace, tmp_path, blocker)
+        code, out, err = self.explain(capsys, workspace, cached, test_jsonl, vid)
+        assert code == 0, err
+        assert "caption check marker not written" in caplog.text
+        plain_code, plain_out, _ = self.explain(capsys, workspace, workspace["cfg"], test_jsonl, vid)
+        assert (code, out) == (plain_code, plain_out)
+
+    def test_planted_marker_on_a_bad_line_gives_the_full_loads_error(self, workspace, tmp_path,
+                                                                     capsys):
+        lines = (workspace["data"] / "test.jsonl").read_text(encoding="utf-8").splitlines(True)
+        rec = json.loads(lines[5])
+        lines[5] = json.dumps({**rec, "text": " "}) + "\n"
+        captions = tmp_path / "bad.jsonl"
+        captions.write_text("".join(lines), encoding="utf-8")
+        cache = tmp_path / "cache"
+        marker = cache / "captions-v1" / hashlib.sha256(captions.read_bytes()).hexdigest()
+        marker.parent.mkdir(parents=True)
+        marker.touch()
+        cached = cached_config(workspace, tmp_path, cache)
+        planted = self.explain(capsys, workspace, cached, captions, rec["video_id"])
+        plain = self.explain(capsys, workspace, workspace["cfg"], captions, rec["video_id"])
+        assert planted == plain
+        assert planted[0] == 1 and f"{captions}:6: " in planted[2] and "empty text" in planted[2]
 
 
 class TestDeterminism:

@@ -14,10 +14,13 @@ not UTF-8.
 from __future__ import annotations
 
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from tbvad.cli import load_video_captions
 from tbvad.corpus import CaptionCorpus, load_captions, save_captions
 from tbvad.synthetic import SyntheticConfig, generate_corpus
 
@@ -37,6 +40,9 @@ PADDING = ["", " ", "\t", "\x0c", "\xa0", "\u2028", "\ufeff"]
 NON_OBJECTS = ["[]", '["v1", 0]', '"text"', "1", "null", "true", "-2.5"]
 RARELY = st.sampled_from([False] * 7 + [True])
 MALFORMED = ["{", '{"video_id": ', '{"video_id" "v1"}', "{'a': 1}", "nul", "}", '{"a": 1,}']
+# Ids a one-video load asks for: the generated ones, one that no file holds, and
+# two that JSON must escape.
+ASKED_IDS = [*VIDEO_LABELS, "v9", 'v"1', "v\\1"]
 
 
 @st.composite
@@ -131,19 +137,30 @@ CLEAN = (b'{"video_id": "v1", "frame_index": 0, "label": "normal", "text": "A ma
 @example(data=b"  \t\n\x0c\n" + CLEAN + b" \r\n")
 @example(data=b"\xff\n{oops\n" + CLEAN)  # stray byte before a malformed line
 @example(data=b"{oops\n" + CLEAN + b"\xff\n")  # ... and after one
+@example(data=CLEAN.replace(b'"v1"', b'"\\u00761"'))  # an id written with an escape
+@example(data=CLEAN.replace(b"\n", b"\r"))  # \r-only line endings
+@example(data=CLEAN.replace(b'"v1"', b'"v\\"1"').replace(b'"v2"', b'"v\\\\1"'))
+@example(data=CLEAN + CLEAN.replace(b'"v1"', b'"v\\"1"').replace(b'"v2"', b'"v\\\\1"'))
 def test_loader_matches_reference(tmp_path, data):
     path = tmp_path / "caps.jsonl"
     path.write_bytes(data)
     expected = outcome(reference_loader.load_captions, path)
     assert outcome(load_captions, path) == expected
     # A one-video load keeps that video of the full result, or raises the same error.
-    for vid in [*VIDEO_LABELS, "v9"]:
+    # So does explain's loader, cold and then warm, through a fresh cache directory;
+    # the cold load leaves a marker exactly when it succeeds.
+    for vid in ASKED_IDS:
         if isinstance(expected, CaptionCorpus):
             want = CaptionCorpus(videos=tuple(v for v in expected.videos if v.video_id == vid),
                                  source_tag=expected.source_tag)
         else:
             want = expected
         assert outcome(lambda p: load_captions(p, video_id=vid), path) == want
+        with tempfile.TemporaryDirectory() as cache:
+            for _ in ("cold", "warm"):
+                assert outcome(lambda p: load_video_captions(p, vid, cache)[0], path) == want
+                markers = list(Path(cache).glob("captions-v1/*"))
+                assert len(markers) == isinstance(want, CaptionCorpus)
 
 
 def test_loader_streams_the_file(tmp_path):
