@@ -219,7 +219,9 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x[b] @ y[b]`` (or ``x[b] @ y`` for a 1-D ``y``) for every row of a (B, n) stack.
 
     Each row takes one BLAS dot, as two 1-D vectors do; a (B, n) @ (n,)
-    matmul would take a matrix-times-vector instead.
+    matmul would take a matrix-times-vector instead.  So
+    ``np.sqrt(_dots(x, x))`` is each row's ``np.linalg.norm`` bit for bit,
+    where ``norm(axis=1)`` or ``einsum`` would sum in another order.
     """
     return (x[:, None, :] @ y[..., :, None])[:, 0, 0]
 
@@ -249,8 +251,7 @@ def _head_forward(params: ModelParams, h: np.ndarray, mask: np.ndarray,
     ctx = (w[:, None, :] @ c)[:, 0]
     # The raw context scale is quadratic in the token magnitudes and drifts
     # during training; the residual uses its direction only, gated by g.
-    # Each norm is np.linalg.norm's own expression for a 1-D vector.
-    norm = np.array([math.sqrt(row.dot(row)) for row in ctx])
+    norm = np.sqrt(_dots(ctx, ctx))
     u = ctx / np.where(norm > 0, norm, 1.0)[:, None]
     g = params.gate[0]
     pooled = hbar + g * u
@@ -342,12 +343,8 @@ def _frame_vectors(embedder, texts: list[str]) -> np.ndarray:
     content comparable to the fixed positional encodings.
     """
     pooled = embedder.embed_captions(texts)
-    for row in pooled:
-        # np.linalg.norm's own expression for a 1-D real vector, without its
-        # dispatch; a batched norm sums in another order and is not bit-equal.
-        norm = math.sqrt(row.dot(row))
-        if norm > 0:
-            row /= norm
+    norm = np.sqrt(_dots(pooled, pooled))
+    pooled /= np.where(norm > 0, norm, 1.0)[:, None]
     return pooled
 
 

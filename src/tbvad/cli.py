@@ -209,8 +209,31 @@ def _require(args, *names) -> None:
             raise ValidationError(f"missing required flag --{name}")
 
 
-def _file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def load_hashed_captions(path, cache_dir: str | None, *, video_id: str | None = None,
+                         source_tag: str | None = None) -> tuple[CaptionCorpus, str]:
+    """A caption file's corpus, or one video's, and the SHA-256 of the bytes it was parsed from.
+
+    The file is read once.  With a cache directory, an empty marker
+    ``<cache_dir>/captions-v1/<sha256>`` records that these exact bytes
+    passed a full load: a one-video load that finds it decodes only the
+    lines that can hold the video's records; a load without it checks every
+    line and, when it succeeds, writes the marker.  So an ``eval`` leaves
+    the marker for the ``explain`` calls on its file.  A marker that cannot
+    be written is skipped with a warning.
+    """
+    data = read_caption_file(path)
+    sha = hashlib.sha256(data).hexdigest()
+    marker = Path(cache_dir, CHECKED_MARKERS, sha) if cache_dir else None
+    marked = marker is not None and os.path.exists(marker)
+    corpus = load_captions(path, source_tag, video_id=video_id, data=data,
+                           checked=marked and video_id is not None)
+    if marker is not None and not marked:
+        try:
+            marker.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write(marker, b"")
+        except (OSError, ValueError) as e:
+            logger.warning("caption check marker not written: %s", e)
+    return corpus, sha
 
 
 def _lock_holder_is_gone(lock: Path) -> bool:
@@ -334,7 +357,7 @@ def cmd_gen_synth(args) -> int:
 def cmd_build_knowledge(args) -> int:
     cfg = resolve_config(args)
     _require(args, "captions", "out")
-    corpus = load_captions(args.captions)
+    corpus, captions_sha = load_hashed_captions(args.captions, _cache_dir(cfg))
     d_n, d_a = group_by_class(corpus)
     _, know_emb = _embedder_configs(cfg)
     kb = build_knowledge(d_n, d_a, _prompts(cfg), know_emb,
@@ -344,31 +367,33 @@ def cmd_build_knowledge(args) -> int:
     with _output_lock(out_path.parent):
         save_knowledge(kb, out_path)
         _append_run_log(out_path.parent, "build-knowledge", cfg,
-                        {"captions": _file_digest(args.captions)}, [str(out_path)])
+                        {"captions": captions_sha}, [str(out_path)])
     _emit({"knowledge": str(out_path), "aspects": list(kb.aspects),
-           "digest": _file_digest(out_path)})
+           "digest": hashlib.sha256(out_path.read_bytes()).hexdigest()})
     return 0
 
 
 def _load_kb(args, cfg: dict):
+    """The knowledge base and the SHA-256 of the very bytes it was parsed from."""
     _, know = _embedder_configs(cfg)
-    return load_knowledge(args.knowledge, endpoint=know.endpoint, cache_dir=know.cache_dir,
-                          max_tokens=know.max_tokens, max_parallel=know.max_parallel)
+    data = Path(args.knowledge).read_bytes()
+    kb = load_knowledge(args.knowledge, endpoint=know.endpoint, cache_dir=know.cache_dir,
+                        max_tokens=know.max_tokens, max_parallel=know.max_parallel, data=data)
+    return kb, hashlib.sha256(data).hexdigest()
 
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     _require(args, "captions", "knowledge", "out")
-    corpus = load_captions(args.captions)
-    kb = _load_kb(args, cfg)
+    corpus, captions_sha = load_hashed_captions(args.captions, _cache_dir(cfg))
+    kb, knowledge_sha = _load_kb(args, cfg)
     desc_emb, _ = _embedder_configs(cfg)
     model = train(corpus, kb, _train_config(cfg), desc_emb)
     out_path = Path(args.out)
     with _output_lock(out_path.parent):
         save_model(model, out_path)
         _append_run_log(out_path.parent, "train", cfg,
-                        {"captions": _file_digest(args.captions),
-                         "knowledge": _file_digest(args.knowledge)}, [str(out_path)])
+                        {"captions": captions_sha, "knowledge": knowledge_sha}, [str(out_path)])
     _emit({"model": str(out_path), "digest": model_digest(model),
            "epochs": cfg["train"]["epochs"]})
     return 0
@@ -377,8 +402,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = resolve_config(args)
     _require(args, "captions", "knowledge", "model")
-    corpus = load_captions(args.captions)
-    kb = _load_kb(args, cfg)
+    corpus, captions_sha = load_hashed_captions(args.captions, _cache_dir(cfg))
+    kb, knowledge_sha = _load_kb(args, cfg)
     model, model_sha = load_model(args.model, digest=True)
     desc_emb, _ = _embedder_configs(cfg)
     report = evaluate_model(corpus, kb, model, desc_emb, digest=config_digest(cfg))
@@ -386,42 +411,19 @@ def cmd_eval(args) -> int:
     out_dir, outputs = _optional_out(args)
     with _output_lock(out_dir):
         _append_run_log(out_dir, "eval", cfg,
-                        {"captions": _file_digest(args.captions),
-                         "knowledge": _file_digest(args.knowledge),
+                        {"captions": captions_sha, "knowledge": knowledge_sha,
                          "model": model_sha}, outputs)
         _report_to_streams(report, args)
     return 0
 
 
-def load_video_captions(path, video_id: str, cache_dir: str | None) -> tuple[CaptionCorpus, str]:
-    """One video's captions and the caption file's SHA-256, from one read of the file.
-
-    With a cache directory, an empty marker ``<cache_dir>/captions-v1/<sha256>``
-    records that these exact bytes passed a full load: with it, only the lines
-    that can hold the video's records are decoded; without it, every line is
-    checked and a load that succeeds writes the marker.  A marker that cannot
-    be written is skipped with a warning.
-    """
-    data = read_caption_file(path)
-    sha = hashlib.sha256(data).hexdigest()
-    marker = Path(cache_dir, CHECKED_MARKERS, sha) if cache_dir else None
-    checked = marker is not None and os.path.exists(marker)
-    corpus = load_captions(path, video_id=video_id, data=data, checked=checked)
-    if marker is not None and not checked:
-        try:
-            marker.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write(marker, b"")
-        except (OSError, ValueError) as e:
-            logger.warning("caption check marker not written: %s", e)
-    return corpus, sha
-
-
 def cmd_explain(args) -> int:
     cfg = resolve_config(args)
     _require(args, "captions", "knowledge", "model", "video-id")
-    corpus, captions_sha = load_video_captions(args.captions, args.video_id, _cache_dir(cfg))
+    corpus, captions_sha = load_hashed_captions(args.captions, _cache_dir(cfg),
+                                                video_id=args.video_id)
     video = corpus.video(args.video_id)
-    kb = _load_kb(args, cfg)
+    kb, knowledge_sha = _load_kb(args, cfg)
     model, model_sha = load_model(args.model, digest=True)
     desc_emb, _ = _embedder_configs(cfg)
 
@@ -437,8 +439,7 @@ def cmd_explain(args) -> int:
     if getattr(args, "counterfactual", False):
         margins = counterfactual_margins(w, predicted_v, kb.aspects)
     weights = {aspect: float(w_pred[i]) for i, aspect in enumerate(kb.aspects)}
-    inputs = {"captions": captions_sha, "knowledge": _file_digest(args.knowledge),
-              "model": model_sha}
+    inputs = {"captions": captions_sha, "knowledge": knowledge_sha, "model": model_sha}
     record = build_record(video.video_id, y, weights, evidences, margins,
                           model_digest=inputs["model"])
     gen_endpoint = cfg["endpoints"].get("generate")
@@ -473,8 +474,8 @@ def _load_combos(spec: str) -> list[tuple[str, ...]]:
 def cmd_ablate(args) -> int:
     cfg = resolve_config(args)
     _require(args, "captions", "test-captions", "combos", "out")
-    train_corpus = load_captions(args.captions)
-    test_corpus = load_captions(args.test_captions)
+    train_corpus, captions_sha = load_hashed_captions(args.captions, _cache_dir(cfg))
+    test_corpus, test_captions_sha = load_hashed_captions(args.test_captions, _cache_dir(cfg))
     combos = _load_combos(args.combos)
     pipeline = _pipeline_config(cfg, summarizer=_summarizer(cfg, args), prompts=_prompts(cfg))
     rows = ablate_slots(train_corpus, test_corpus, combos, pipeline)
@@ -482,8 +483,8 @@ def cmd_ablate(args) -> int:
     with _output_lock(out_path.parent):
         out_path.write_text(ablation_csv(rows), encoding="utf-8")
         _append_run_log(out_path.parent, "ablate", cfg,
-                        {"captions": _file_digest(args.captions),
-                         "test_captions": _file_digest(args.test_captions)}, [str(out_path)])
+                        {"captions": captions_sha, "test_captions": test_captions_sha},
+                        [str(out_path)])
     print(ablation_csv(rows), file=sys.stderr, end="")
     _emit({"rows": [{"aspects": list(r.active_aspects), "auc": None if r.failed else r.auc,
                      "ap": None if r.failed else r.ap, "error": r.error} for r in rows],
@@ -504,15 +505,16 @@ def cmd_caption_stats(args) -> int:
 def cmd_cross_eval(args) -> int:
     cfg = resolve_config(args)
     _require(args, "captions", "test-captions")
-    train_corpus = load_captions(args.captions, source_tag=args.captions)
-    test_corpus = load_captions(args.test_captions, source_tag=args.test_captions)
+    train_corpus, captions_sha = load_hashed_captions(args.captions, _cache_dir(cfg),
+                                                      source_tag=args.captions)
+    test_corpus, test_captions_sha = load_hashed_captions(args.test_captions, _cache_dir(cfg),
+                                                          source_tag=args.test_captions)
     pipeline = _pipeline_config(cfg, summarizer=_summarizer(cfg, args), prompts=_prompts(cfg))
     report = cross_eval(train_corpus, test_corpus, pipeline)
     out_dir, outputs = _optional_out(args)
     with _output_lock(out_dir):
         _append_run_log(out_dir, "cross-eval", cfg,
-                        {"captions": _file_digest(args.captions),
-                         "test_captions": _file_digest(args.test_captions)}, outputs)
+                        {"captions": captions_sha, "test_captions": test_captions_sha}, outputs)
         _report_to_streams(report, args)
     return 0
 

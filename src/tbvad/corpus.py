@@ -19,7 +19,7 @@ line, but builds a ``Caption`` only for that video's lines.
 
 A caller that has read the file's bytes can pass them in, and say that
 these exact bytes already passed a full load under the rules that
-``CHECKED_MARKERS`` names (``explain`` keeps an empty marker file per
+``CHECKED_MARKERS`` names (the CLI keeps an empty marker file per
 SHA-256 for this).  Such a load decodes only the lines that can hold a
 record of the asked video: those that write the id literally between
 quotes, or hold any backslash.  If one of them is not a valid record, every
@@ -33,7 +33,6 @@ import io
 import json
 import json.decoder
 import json.scanner
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,8 +40,6 @@ from .errors import ValidationError
 
 LABELS = ("normal", "abnormal")
 
-_SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
-_WHITESPACE_RE = re.compile(r"\s+")
 # The scanner and whitespace pattern that ``json.loads`` runs for a str.
 _SCAN = json.scanner.make_scanner(json.JSONDecoder())
 _JSON_WHITESPACE = json.decoder.WHITESPACE.match
@@ -330,9 +327,11 @@ def sentence_split(text: str) -> list[str]:
     whitespace-only sentences; joining the result with single spaces
     reproduces the input modulo whitespace.
     """
-    stripped = text.strip()
-    if not stripped:
+    # Collapsing whitespace leaves the split points where they were and only
+    # single spaces between words, so a split point is exactly ". ", "! " or
+    # "? "; no part can start or end with whitespace or be empty.
+    collapsed = " ".join(text.split())
+    if not collapsed:
         return []
-    # Collapsing whitespace first leaves the split points where they were, and
-    # no part can start or end with whitespace or be empty.
-    return _SENTENCE_RE.split(_WHITESPACE_RE.sub(" ", stripped))
+    return (collapsed.replace(". ", ".\n").replace("! ", "!\n")
+            .replace("? ", "?\n").split("\n"))

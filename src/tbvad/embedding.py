@@ -13,12 +13,15 @@ Two interchangeable backends produce per-token embedding sequences:
   file per call that fetched anything, so a rerun issues no network
   requests.
 
+A token is a maximal run of alphanumeric characters (``str.isalnum``) of
+the lowercased text; every other character, ``_`` included, splits.
+
 Both keep every token vector they produce in memory for the life of the
 embedder.  ``embed_captions`` pools many texts in one pass: it tokenizes
 each text once into integer ids, looks the distinct tokens up in one call,
-and sums the rows of all texts of equal token count together, position by
-position, in ``mean_pool``'s order, so its (n, d) result equals the
-per-text ``mean_pool(embed_tokens(text))`` bit for bit.
+and walks the token positions once, longest text first, adding position
+``j`` of every text that has one in ``mean_pool``'s order, so its (n, d)
+result equals the per-text ``mean_pool(embed_tokens(text))`` bit for bit.
 
 All vectors are float32-valued (stored in float64 arrays) so cache hits and
 misses return bit-identical data.
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import re
 from array import array
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
@@ -45,12 +47,31 @@ logger = logging.getLogger(__name__)
 MAX_BATCH_TEXTS = 64
 KNOWLEDGE_MAX_TOKENS = 4096
 
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+class _TokenChars(dict):
+    """``str.translate`` table keeping alphanumeric code points, all others a space.
+
+    Filled one code point at a time, the first time a text holds it, so it
+    holds one entry per distinct code point the process has tokenized.
+    """
+
+    def __missing__(self, code: int) -> int:
+        self[code] = mapped = code if chr(code).isalnum() else 0x20
+        return mapped
+
+
+_TOKEN_CHARS = _TokenChars()
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase whitespace/punctuation tokenization shared across the package."""
-    return _TOKEN_RE.findall(text.lower())
+    """The maximal runs of ``str.isalnum`` characters of the lowercased text.
+
+    This is the regex ``[^\\W_]+`` (Unicode ``\\w`` is ``isalnum`` plus
+    ``_``), shared across the package.  Every character that is not
+    alphanumeric becomes a space, and no alphanumeric one is a space, so
+    ``split`` leaves exactly the runs.
+    """
+    return text.lower().translate(_TOKEN_CHARS).split()
 
 
 @dataclass(frozen=True)
@@ -150,9 +171,11 @@ class _TokenEmbedder:
         """Mean-pooled embedding of each text as one (n, d) array, in one pass.
 
         Each text is tokenized once into integer ids over the call's distinct
-        tokens, which one ``_lookup`` call turns into a (V, d) table.  The
-        texts of equal token count are pooled together, one token position
-        at a time, in ``mean_pool``'s summation order, so row ``i`` equals
+        tokens, which one ``_lookup`` call turns into a (V, d) table.  With
+        the texts sorted longest first, step ``j`` adds the ``j``-th token's
+        row to every text that has one, a leading slice of the sorted rows,
+        so the loop runs once per position of the longest text.  Each row
+        sums in ``mean_pool``'s order, so row ``i`` equals
         ``mean_pool(embed_tokens(texts[i]))`` bit for bit and no (n, T, d)
         gather is ever built.
         """
@@ -162,25 +185,29 @@ class _TokenEmbedder:
         index.default_factory = index.__len__  # a new token gets the next id
         ids = array("i")
         starts = np.empty(len(texts), dtype=np.intp)
-        rows_by_count: defaultdict[int, list[int]] = defaultdict(list)
+        counts = np.empty(len(texts), dtype=np.intp)
         for i, text in enumerate(texts):
             tokens = self._tokens(text)
             starts[i] = len(ids)
-            rows_by_count[len(tokens)].append(i)
+            counts[i] = len(tokens)
             ids.extend(map(index.__getitem__, tokens))
         table = np.stack(self._lookup(list(index)))
         if not np.all(np.isfinite(table)):
             raise ValidationError("embedding matrix contains non-finite values")
         flat = np.frombuffer(ids, dtype=np.intc)
-        out = np.empty((len(texts), table.shape[1]))
-        for count, rows in rows_by_count.items():
-            col = starts[rows]  # where each text's current token id sits in flat
-            acc = table[flat[col]]
-            for _ in range(1, count):
-                col += 1
-                acc += table[flat[col]]
-            acc /= count
-            out[rows] = acc
+        order = np.argsort(-counts, kind="stable")
+        counts = counts[order]
+        col = starts[order]  # where each sorted text's current token id sits in flat
+        # live[j - 1]: how many sorted texts have a token at position j.
+        live = np.searchsorted(-counts, -np.arange(1, counts[0]), side="left")
+        acc = table[flat[col]]
+        for n_j in live.tolist():
+            head = col[:n_j]
+            head += 1
+            acc[:n_j] += table[flat[head]]
+        acc /= counts[:, None]
+        out = np.empty_like(acc)
+        out[order] = acc
         return out
 
 

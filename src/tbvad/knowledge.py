@@ -12,6 +12,7 @@ these come from one embedder and one ``embed_captions`` call.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -407,15 +408,20 @@ def save_knowledge(kb: KnowledgeBase, path: str | Path) -> None:
 
 def load_knowledge(path: str | Path, endpoint: str | None = None, cache_dir: str | None = None,
                    max_tokens: int = KNOWLEDGE_MAX_TOKENS,
-                   max_parallel: int = EmbedderConfig.max_parallel) -> KnowledgeBase:
+                   max_parallel: int = EmbedderConfig.max_parallel, *,
+                   data: bytes | None = None) -> KnowledgeBase:
     """Load a knowledge JSON file, recomputing prototypes and sentence embeddings.
 
     Embeddings are never serialized; the stored (backend, dim, seed) triple
     plus the caller-supplied endpoint, cache and fetch settings reconstruct
     them.  A file that does not match the schema raises ValidationError.
+    ``data`` is the file's bytes, already read by the caller (who may have
+    hashed them); they are decoded as a text-mode read of the file would.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        with (Path(path).open("r", encoding="utf-8") if data is None
+              else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")) as fh:
+            raw = json.load(fh)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ValidationError(f"knowledge file {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):

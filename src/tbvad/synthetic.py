@@ -120,13 +120,15 @@ def domain_config(domain: str, **overrides) -> SyntheticConfig:
 
 
 def _frame_caption(rng, cfg: SyntheticConfig, anomalous_aspects: set[str]) -> str:
-    sentences = []
-    for aspect in ASPECTS:
-        pool = cfg.anomaly_pools[aspect] if aspect in anomalous_aspects else cfg.normal_pools[aspect]
-        word = pool[int(rng.integers(0, len(pool)))]
-        template = _ASPECT_TEMPLATES[aspect][int(rng.integers(0, 2))]
-        sentences.append(template.format(**{aspect: word}))
-    return " ".join(sentences)
+    pools = [cfg.anomaly_pools[aspect] if aspect in anomalous_aspects else cfg.normal_pools[aspect]
+             for aspect in ASPECTS]
+    # Each aspect's word index, then its template index, from one call: it
+    # reads the same stream as eight scalar ``integers(0, high)`` calls.
+    draws = rng.integers(0, [bound for pool in pools for bound in (len(pool), 2)]).tolist()
+    return " ".join(
+        _ASPECT_TEMPLATES[aspect][template_at].format(**{aspect: pool[word_at]})
+        for aspect, pool, word_at, template_at in zip(ASPECTS, pools, draws[0::2], draws[1::2])
+    )
 
 
 def generate_corpus(cfg: SyntheticConfig) -> tuple[CaptionCorpus, dict]:

@@ -4,8 +4,10 @@ This is the ranking ``ExtractiveSummarizer`` ran before it shared a class's
 sentence statistics across aspects: every call re-splits the captions,
 tokenizes every sentence occurrence, rebuilds TF and DF, and scores each
 distinct sentence with its own ``np.mean``.  ``sentence_split`` is the
-splitter as it was then, normalizing whitespace part by part.  The oracle
-tests require the production code to return the same text byte for byte.
+splitter as it was then, normalizing whitespace part by part, and
+``tokenize`` the regex tokenizer of that time, so neither leans on the
+production text front end.  The oracle tests require the production code
+to return the same text byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import re
 
 import numpy as np
 
-from tbvad.embedding import tokenize
 from tbvad.errors import ValidationError
 from tbvad.knowledge import (
     ASPECT_KEYWORD_BOOST,
@@ -23,6 +24,10 @@ from tbvad.knowledge import (
     EXTRACTIVE_TOP_SENTENCES,
     OFF_ASPECT_WEIGHT,
 )
+
+
+def tokenize(text: str) -> list[str]:
+    return re.findall(r"[^\W_]+", text.lower())
 
 
 def sentence_split(text: str) -> list[str]:

@@ -25,7 +25,7 @@ from tbvad.cli import (
     resolve_config,
 )
 from tbvad.corpus import Caption, load_captions, save_captions
-from tbvad.knowledge import CLASSES, AspectPrompt, default_prompts
+from tbvad.knowledge import CLASSES, AspectPrompt, default_prompts, load_knowledge
 from tbvad.reasoning import slot_attention, slot_importance
 from tbvad.remote import VectorCache
 from tbvad.synthetic import SyntheticConfig, generate_corpus
@@ -397,7 +397,7 @@ class TestEvalExplain:
         test_jsonl = workspace["data"] / "test.jsonl"
         args = argparse.Namespace(config=workspace["cfg"], knowledge=str(workspace["kb"]))
         cfg = resolve_config(args)
-        kb = _load_kb(args, cfg)
+        kb, _ = _load_kb(args, cfg)
         model = load_model(workspace["model"])
         labels = set()
         for video in load_captions(test_jsonl).videos:
@@ -424,7 +424,7 @@ class TestEvalExplain:
     def test_knowledge_load_uses_configured_max_parallel(self, workspace, tmp_path):
         cfg = cli_config(tmp_path, embedder={"d": 32, "max_tokens": 512, "max_parallel": 3})
         args = argparse.Namespace(config=cfg, knowledge=str(workspace["kb"]))
-        assert _load_kb(args, resolve_config(args)).embedder.max_parallel == 3
+        assert _load_kb(args, resolve_config(args))[0].embedder.max_parallel == 3
 
     def test_eval_non_finite_model_exits_2(self, workspace):
         raw = bytearray(workspace["model"].read_bytes())
@@ -542,6 +542,62 @@ class TestEvalExplain:
             assert json.loads(out)["model_digest"] == want
 
 
+    @pytest.mark.parametrize("command", ["build-knowledge", "train", "eval", "explain",
+                                         "cross-eval", "ablate"])
+    def test_input_digests_are_of_the_parsed_bytes(self, workspace, tmp_path, capsys,
+                                                   monkeypatch, command):
+        # Each input file grows by a byte right after it is parsed: every logged
+        # digest must still name the bytes that were parsed, not a second read.
+        files = {"captions": (tmp_path / "train.jsonl", workspace["data"] / "train.jsonl"),
+                 "test_captions": (tmp_path / "test.jsonl", workspace["data"] / "test.jsonl"),
+                 "knowledge": (tmp_path / "kb.json", workspace["kb"])}
+        parsed = {}
+        for name, (path, source) in files.items():
+            path.write_bytes(source.read_bytes())
+            parsed[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+
+        def grow_after(load):
+            def load_then_grow(path, *args, **kwargs):
+                loaded = load(path, *args, **kwargs)
+                with open(path, "ab") as fh:
+                    fh.write(b"\n")
+                return loaded
+            return load_then_grow
+
+        monkeypatch.setattr("tbvad.cli.load_captions", grow_after(load_captions))
+        monkeypatch.setattr("tbvad.cli.load_knowledge", grow_after(load_knowledge))
+        captions, test_captions, kb = (str(path) for path, _ in files.values())
+        vid = load_captions(test_captions).videos[0].video_id
+        combos = tmp_path / "combos.json"
+        combos.write_text(json.dumps([["object"]]), encoding="utf-8")
+        argv, logged_inputs = {
+            "build-knowledge": (["--captions", captions, "--out", str(tmp_path / "kb2.json")],
+                                {"captions"}),
+            "train": (["--captions", captions, "--knowledge", kb,
+                       "--out", str(tmp_path / "model.tbvm")], {"captions", "knowledge"}),
+            "eval": (["--captions", test_captions, "--knowledge", kb,
+                      "--model", str(workspace["model"])], {"captions", "knowledge"}),
+            "explain": (["--captions", test_captions, "--knowledge", kb,
+                         "--model", str(workspace["model"]), "--video-id", vid],
+                        {"captions", "knowledge"}),
+            "cross-eval": (["--captions", captions, "--test-captions", test_captions],
+                           {"captions", "test_captions"}),
+            "ablate": (["--captions", captions, "--test-captions", test_captions,
+                        "--combos", str(combos), "--out", str(tmp_path / "ablate.csv")],
+                       {"captions", "test_captions"}),
+        }[command]
+        code, _, err = run_cli(capsys, command, "--config", workspace["cfg"], *argv)
+        assert code == 0, err
+        logged = last_run_log(tmp_path)["input_digests"]
+        assert set(logged) - {"model"} == logged_inputs
+        for name in logged_inputs:
+            # Eval and explain log the held-out file they read as "captions".
+            source = "test_captions" if name == "captions" and command in ("eval", "explain") else name
+            path = files[source][0]
+            assert hashlib.sha256(path.read_bytes()).hexdigest() != parsed[source]
+            assert logged[name] == parsed[source], name
+
+
 def cached_config(workspace, tmp_path, cache_dir) -> str:
     """The workspace's config file with ``embedder.cache_dir`` set."""
     cfg = json.loads(Path(workspace["cfg"]).read_text(encoding="utf-8"))
@@ -563,18 +619,13 @@ class TestExplainCaptionMarkers:
                        "--knowledge", str(workspace["kb"]), "--model", str(workspace["model"]),
                        "--video-id", vid, "--counterfactual")
 
-    def test_warm_explain_decodes_only_its_videos_lines(self, workspace, tmp_path, capsys,
-                                                         monkeypatch):
+    def assert_warm_explain_decodes_only_its_videos_lines(self, workspace, tmp_path, capsys,
+                                                           monkeypatch, cache, cached):
         test_jsonl = workspace["data"] / "test.jsonl"
-        videos = load_captions(test_jsonl).videos
-        cache = tmp_path / "cache"
-        cached = cached_config(workspace, tmp_path, cache)
-        code, _, err = self.explain(capsys, workspace, cached, test_jsonl, videos[0].video_id)
-        assert code == 0, err
         marker = cache / "captions-v1" / hashlib.sha256(test_jsonl.read_bytes()).hexdigest()
         assert marker.is_file() and marker.stat().st_size == 0
 
-        target = videos[-1]
+        target = load_captions(test_jsonl).videos[-1]
         plain = self.explain(capsys, workspace, workspace["cfg"], test_jsonl, target.video_id)
         plain_log = last_run_log(tmp_path)
         built, scanned = [], []
@@ -597,6 +648,27 @@ class TestExplainCaptionMarkers:
         assert last_run_log(tmp_path)["input_digests"] == plain_log["input_digests"]
         assert len(built) == len(scanned) == len(target.captions)
         assert marker.is_file()
+
+    def test_warm_explain_decodes_only_its_videos_lines(self, workspace, tmp_path, capsys,
+                                                         monkeypatch):
+        test_jsonl = workspace["data"] / "test.jsonl"
+        cache = tmp_path / "cache"
+        cached = cached_config(workspace, tmp_path, cache)
+        first = load_captions(test_jsonl).videos[0].video_id
+        code, _, err = self.explain(capsys, workspace, cached, test_jsonl, first)
+        assert code == 0, err
+        self.assert_warm_explain_decodes_only_its_videos_lines(workspace, tmp_path, capsys,
+                                                                monkeypatch, cache, cached)
+
+    def test_eval_leaves_the_marker_for_explain(self, workspace, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache"
+        cached = cached_config(workspace, tmp_path, cache)
+        code, _, err = run_cli(capsys, "eval", "--config", cached,
+                               "--captions", str(workspace["data"] / "test.jsonl"),
+                               "--knowledge", str(workspace["kb"]), "--model", str(workspace["model"]))
+        assert code == 0, err
+        self.assert_warm_explain_decodes_only_its_videos_lines(workspace, tmp_path, capsys,
+                                                                monkeypatch, cache, cached)
 
     def test_cache_dir_that_is_a_file_gives_the_same_record(self, workspace, tmp_path, capsys,
                                                              caplog):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from tbvad.classifier import videos_features
 from tbvad.corpus import sample_evenly
 from tbvad.embedding import (
+    KNOWLEDGE_MAX_TOKENS,
     EmbedderConfig,
     HashEmbedder,
     RemoteEmbedder,
@@ -22,6 +25,7 @@ from tbvad.embedding import (
 from tbvad.errors import RemoteServiceError, ValidationError
 from tbvad.remote import VectorCache
 
+import reference_summarizer
 from conftest import make_video
 from stubs import StubService, float32_vector
 
@@ -95,6 +99,36 @@ class TestHashEmbedder:
         assert np.array_equal(a.vectors, b.vectors)
 
 
+# Where a regex and a str-predicate tokenizer could part: "_" (a word
+# character, not alphanumeric), "\x1c" and "\xa0" (whitespace to Python, not
+# to C's isspace), "İ" (lowercases to "i" and a combining dot), combining
+# marks, and digits and numerals outside ASCII.
+TOKEN_EDGE_CHARS = "_\x1c\x1f\x85\xa0\u2028\u3000İΣßǅ\u0301\u0307\u0663²½ⅷ.!?-' \t\nAz09"
+
+
+class TestTokenize:
+    def test_regex_classes_are_the_str_predicates(self):
+        # tokenize relies on [^\W_] matching exactly the isalnum characters, and
+        # sentence_split on \s matching exactly the isspace ones.
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"[^\W_]", every) == [c for c in every if c.isalnum()]
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+    def test_hand_values(self):
+        assert tokenize("A man's snake_case bat, x1!") == ["a", "man", "s", "snake", "case", "bat", "x1"]
+        # "İ" lowercases to "i" and U+0307, which is not alphanumeric.
+        assert tokenize("İstanbul\xa0Café\x1cé") == ["i", "stanbul", "café", "é"]
+        assert tokenize("e\u0301 ٣² ½") == ["e", "٣²", "½"]
+        assert tokenize("__ .. \x1c") == []
+
+    @given(st.text(alphabet=st.one_of(st.sampled_from(TOKEN_EDGE_CHARS), st.characters()),
+                   max_size=80))
+    @example("snake_case İstanbul\x1cA\xa0b e\u0301 ǅx")
+    @settings(max_examples=200, deadline=None)
+    def test_matches_regex(self, text):
+        assert tokenize(text) == reference_summarizer.tokenize(text)
+
+
 class TestEmbedCaptions:
     @given(texts=TEXTS, d=st.sampled_from([1, 3, 16]), max_tokens=st.integers(1, 12),
            seed=st.integers(0, 3))
@@ -147,6 +181,20 @@ class TestEmbedCaptions:
             pooled = RemoteEmbedder(cfg).embed_captions(texts)
         for row, p in zip(rows, pooled, strict=True):
             assert row.tobytes() == (p / np.linalg.norm(p)).tobytes()
+
+    def test_one_long_text_among_short_ones(self, monkeypatch):
+        # The knowledge shape: one joined text at the knowledge token budget
+        # among short slot texts, with row sums that round.
+        monkeypatch.delenv("TBVAD_CACHE_DIR", raising=False)
+        rng = np.random.default_rng(3)
+        words = [f"w{i}" for i in range(200)]
+        joined = " ".join(rng.choice(words, size=KNOWLEDGE_MAX_TOKENS + 5))
+        texts = ["w1 w2", "w3", joined, "w4 w5 w6", "w7", "w1 w8 w9 w2"]
+        with StubService(embed_fn=wide_vector) as svc:
+            cfg = EmbedderConfig(backend="remote", d=4, max_tokens=KNOWLEDGE_MAX_TOKENS,
+                                 endpoint=svc.endpoint, seed=0)
+            pooled = RemoteEmbedder(cfg).embed_captions(texts)
+            assert_rows_pool_each_text(pooled, texts, RemoteEmbedder(cfg))
 
     def test_empty_input_gives_empty_matrix(self):
         pooled = HashEmbedder(HASH64).embed_captions([])

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from tbvad.cli import load_video_captions
+from tbvad.cli import load_hashed_captions
 from tbvad.corpus import CaptionCorpus, load_captions, save_captions
 from tbvad.synthetic import SyntheticConfig, generate_corpus
 
@@ -158,7 +158,8 @@ def test_loader_matches_reference(tmp_path, data):
         assert outcome(lambda p: load_captions(p, video_id=vid), path) == want
         with tempfile.TemporaryDirectory() as cache:
             for _ in ("cold", "warm"):
-                assert outcome(lambda p: load_video_captions(p, vid, cache)[0], path) == want
+                loaded = outcome(lambda p: load_hashed_captions(p, cache, video_id=vid)[0], path)
+                assert loaded == want
                 markers = list(Path(cache).glob("captions-v1/*"))
                 assert len(markers) == isinstance(want, CaptionCorpus)
 

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
-from tbvad.corpus import load_captions
+from tbvad.corpus import load_captions, save_captions
 from tbvad.errors import ValidationError
 from tbvad.knowledge import ASPECTS
 from tbvad.synthetic import (
@@ -99,3 +100,36 @@ class TestDomains:
         assert not (all_words(NORMAL_POOLS) & all_words(DOMAIN_B_NORMAL_POOLS))
         assert not (all_words(ANOMALY_POOLS) & all_words(DOMAIN_B_ANOMALY_POOLS))
         assert not (all_words(NORMAL_POOLS) & all_words(ANOMALY_POOLS))
+
+
+# Small pools of unequal sizes, one of a single word, so every draw bound differs.
+CUSTOM_NORMAL_POOLS = {"context": ("still",), "action": ("sitting", "reading", "napping"),
+                       "object": ("cup", "book"),
+                       "environment": ("cafe", "library", "bench", "porch", "attic")}
+CUSTOM_ANOMALY_POOLS = {"context": ("tense", "frantic"), "action": ("stabbing",),
+                        "object": ("gun", "axe", "rope"), "environment": ("fire",)}
+
+
+class TestCorpusBytesPinned:
+    """The bytes ``save_captions`` writes for a seed are fixed.
+
+    The digests were taken when each caption drew its eight words and
+    templates with scalar ``rng.integers`` calls; drawing them in one call
+    must read the same stream, also around the per-frame ``rng.random()``
+    noise draws.
+    """
+
+    @pytest.mark.parametrize("cfg, want", [
+        (SyntheticConfig(),
+         "7d8f129c7cad17bdfe2e4172b622944fe45e18c7fa7b2f2f58453a1a33e4486b"),
+        (SyntheticConfig(n_videos=60, planted_aspects=("environment", "object"),
+                         normal_noise_rate=0.3, seed=7),
+         "909478306b0a34b6d625cf5d5625b6572c2ff7384586aa0300d86d88c54b9d83"),
+        (SyntheticConfig(n_videos=40, seed=3, normal_pools=CUSTOM_NORMAL_POOLS,
+                         anomaly_pools=CUSTOM_ANOMALY_POOLS),
+         "91fa533471264544086b03d76b5abc15734be75511fc1e9bca4a8e0cedcd448e"),
+    ], ids=["default", "environment-object-noise", "custom-pools"])
+    def test_saved_corpus_digest(self, tmp_path, cfg, want):
+        path = tmp_path / "c.jsonl"
+        save_captions(generate_corpus(cfg)[0], path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want
