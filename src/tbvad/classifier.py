@@ -721,14 +721,14 @@ def _tensor_shapes(cfg: ModelConfig):
                 "gate": (1,)}.items()
 
 
-def load_model(path, *, digest: bool = False):
+def load_model(path, *, data: bytes | None = None) -> ModelParams:
     """Read a model file whose header lists exactly its config's tensors, in order.
 
     That list is ``_tensor_shapes(config)``; the file holds exactly their blocks.
-    Returns the model; with ``digest``, ``(model, SHA-256 hex of the bytes it
-    was parsed from)``, so a caller that records the file's digest reads it once.
+    ``data`` is the file's bytes, already read by the caller (who may have
+    hashed them).
     """
-    data = Path(path).read_bytes()
+    data = Path(path).read_bytes() if data is None else data
     if len(data) < 12 or data[:4] != MODEL_MAGIC:
         raise ModelFormatError("not a model file (bad magic)", offset=0)
     (header_len,) = struct.unpack_from("<Q", data, 4)
@@ -777,7 +777,6 @@ def load_model(path, *, digest: bool = False):
     except ValidationError as e:
         raise ModelFormatError(f"header config is inconsistent: {e}") from e
     importance = {f: tensors[f"importance.{f}"] for f in ImportanceParams.FIELDS}
-    model = ModelParams(
+    return ModelParams(
         config=cfg, encoder=encoder, importance=ImportanceParams(**importance),
         **{name: tensors[name] for name in ("w_v", "b_v", "fuse_w", "fuse_b", "gate")})
-    return (model, hashlib.sha256(data).hexdigest()) if digest else model

@@ -2,10 +2,10 @@
 
 One subcommand per stage: gen-synth, build-knowledge, train, eval, explain,
 ablate, caption-stats, cross-eval.  Machine-readable JSON goes to stdout;
-human-readable tables go to stderr; artifacts land at --out.  Every run
-appends a provenance line (config digest, input digests, timestamp) to
-``runs.log`` next to its outputs, and a lock file prevents two runs from
-writing the same output directory at once.
+human-readable tables go to stderr; artifacts land at --out.  A run locks
+its output directory (``_output_lock``) and, once its outputs are written,
+appends a provenance line (config digest, input digests, timestamp) to the
+``runs.log`` there.
 
 Exit codes: 0 success, 1 validation error (bad flags, files, or config),
 2 runtime error.
@@ -26,6 +26,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # Not POSIX: see _output_lock.
+    fcntl = None
 
 from .classifier import TrainConfig, load_model, model_digest, predict_video, save_model, train
 from .corpus import CHECKED_MARKERS, CaptionCorpus, group_by_class, load_captions, read_caption_file
@@ -236,68 +241,46 @@ def load_hashed_captions(path, cache_dir: str | None, *, video_id: str | None = 
     return corpus, sha
 
 
-def _lock_holder_is_gone(lock: Path) -> bool:
-    """True if the lock file holds the PID of a process that no longer exists.
-
-    Anything else (content that is not a PID, a live process, or one this
-    user may not signal) counts as held.  Only POSIX can probe a PID with
-    signal 0; elsewhere a lock is always held.
-    """
-    if os.name != "posix":
-        return False
-    try:
-        pid = int(lock.read_text(encoding="ascii"))
-    except (OSError, ValueError):
-        return False
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (PermissionError, OverflowError):
-        pass
-    return False
-
-
 @contextmanager
 def _output_lock(out_dir: Path):
+    """Hold ``out_dir``'s lock while the body runs, or fail at once if another run holds it.
+
+    With ``fcntl`` the lock is a ``flock`` on ``.tbvad.lock``, which the kernel
+    releases when the run's process ends, however it ends.  The file is never
+    unlinked: a run still holding the old file and a run creating a new one
+    would both hold a lock.  Without ``fcntl`` the file is created exclusively
+    and removed on exit; one left by a run that died must be removed by hand.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".tbvad.lock"
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
-    locked = TbvadError(
-        f"output directory {out_dir} is locked by another run (remove {lock} if stale)"
-    )
+    locked = f"output directory {out_dir} is locked by another run"
+    exclusive = fcntl is None
     try:
-        fd = os.open(lock, flags)
+        fd = os.open(lock, os.O_CREAT | os.O_WRONLY | (os.O_EXCL if exclusive else 0))
     except FileExistsError:
-        if not _lock_holder_is_gone(lock):
-            raise locked from None
-        # The run that wrote the lock died without removing it.  Two runs
-        # taking over the same stale lock at the same instant can both succeed.
-        lock.unlink(missing_ok=True)
-        try:
-            fd = os.open(lock, flags)
-        except FileExistsError:
-            raise locked from None
+        raise TbvadError(f"{locked} (remove {lock} if stale)") from None
     try:
-        os.write(fd, str(os.getpid()).encode("ascii"))
+        if not exclusive:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise TbvadError(locked) from None
         yield
     finally:
         os.close(fd)
-        lock.unlink(missing_ok=True)
+        if exclusive:
+            lock.unlink(missing_ok=True)
 
 
-def _append_run_log(out_dir: Path, command: str, cfg: dict, inputs: dict, outputs: list) -> None:
-    line = {
-        "ts": datetime.now(timezone.utc).isoformat(),
-        "command": command,
-        "config_digest": config_digest(cfg),
-        "input_digests": inputs,
-        "outputs": outputs,
-    }
-    with (out_dir / "runs.log").open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(line, sort_keys=True) + "\n")
+@contextmanager
+def _guarded(out_dir: Path, command: str, cfg: dict, inputs: dict, outputs: list):
+    """Run the body under ``out_dir``'s lock; if it returns, log the run to ``runs.log``."""
+    with _output_lock(out_dir):
+        yield
+        line = {"ts": datetime.now(timezone.utc).isoformat(), "command": command,
+                "config_digest": config_digest(cfg), "input_digests": inputs, "outputs": outputs}
+        with (out_dir / "runs.log").open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
 def _optional_out(args) -> tuple[Path, list[str]]:
@@ -336,10 +319,11 @@ def cmd_gen_synth(args) -> int:
     base = dict(cfg["synthetic"])
     domain = base.pop("domain", "a")
     test_videos = base.pop("test_videos")
-    with _output_lock(out_dir):
-        train_path = out_dir / "train.jsonl"
-        test_path = out_dir / "test.jsonl"
-        manifest_path = out_dir / "manifest.json"
+    train_path = out_dir / "train.jsonl"
+    test_path = out_dir / "test.jsonl"
+    manifest_path = out_dir / "manifest.json"
+    with _guarded(out_dir, "gen-synth", cfg, {},
+                  [str(train_path), str(test_path), str(manifest_path)]):
         train_cfg = domain_config(domain, seed=cfg["seed"],
                                   source_tag=f"synth-{domain}-train", **base)
         write_corpus(train_cfg, train_path, manifest_path)
@@ -347,8 +331,6 @@ def cmd_gen_synth(args) -> int:
                                  source_tag=f"synth-{domain}-test",
                                  **{**base, "n_videos": test_videos})
         write_corpus(test_cfg, test_path, out_dir / "manifest_test.json")
-        _append_run_log(out_dir, "gen-synth", cfg, {},
-                        [str(train_path), str(test_path), str(manifest_path)])
     _emit({"train": str(train_path), "test": str(test_path),
            "manifest": str(manifest_path), "seed": cfg["seed"]})
     return 0
@@ -364,22 +346,27 @@ def cmd_build_knowledge(args) -> int:
                          backend=_summarizer(cfg, args),
                          active_aspects=cfg["aspects"])
     out_path = Path(args.out)
-    with _output_lock(out_path.parent):
+    with _guarded(out_path.parent, "build-knowledge", cfg, {"captions": captions_sha},
+                  [str(out_path)]):
         save_knowledge(kb, out_path)
-        _append_run_log(out_path.parent, "build-knowledge", cfg,
-                        {"captions": captions_sha}, [str(out_path)])
     _emit({"knowledge": str(out_path), "aspects": list(kb.aspects),
            "digest": hashlib.sha256(out_path.read_bytes()).hexdigest()})
     return 0
 
 
+def _read_hashed(path) -> tuple[bytes, str]:
+    """A file's bytes and their SHA-256, so that the logged digest is of what was parsed."""
+    data = Path(path).read_bytes()
+    return data, hashlib.sha256(data).hexdigest()
+
+
 def _load_kb(args, cfg: dict):
     """The knowledge base and the SHA-256 of the very bytes it was parsed from."""
     _, know = _embedder_configs(cfg)
-    data = Path(args.knowledge).read_bytes()
+    data, sha = _read_hashed(args.knowledge)
     kb = load_knowledge(args.knowledge, endpoint=know.endpoint, cache_dir=know.cache_dir,
                         max_tokens=know.max_tokens, max_parallel=know.max_parallel, data=data)
-    return kb, hashlib.sha256(data).hexdigest()
+    return kb, sha
 
 
 def cmd_train(args) -> int:
@@ -390,10 +377,9 @@ def cmd_train(args) -> int:
     desc_emb, _ = _embedder_configs(cfg)
     model = train(corpus, kb, _train_config(cfg), desc_emb)
     out_path = Path(args.out)
-    with _output_lock(out_path.parent):
+    with _guarded(out_path.parent, "train", cfg,
+                  {"captions": captions_sha, "knowledge": knowledge_sha}, [str(out_path)]):
         save_model(model, out_path)
-        _append_run_log(out_path.parent, "train", cfg,
-                        {"captions": captions_sha, "knowledge": knowledge_sha}, [str(out_path)])
     _emit({"model": str(out_path), "digest": model_digest(model),
            "epochs": cfg["train"]["epochs"]})
     return 0
@@ -404,15 +390,15 @@ def cmd_eval(args) -> int:
     _require(args, "captions", "knowledge", "model")
     corpus, captions_sha = load_hashed_captions(args.captions, _cache_dir(cfg))
     kb, knowledge_sha = _load_kb(args, cfg)
-    model, model_sha = load_model(args.model, digest=True)
+    data, model_sha = _read_hashed(args.model)
+    model = load_model(args.model, data=data)
     desc_emb, _ = _embedder_configs(cfg)
     report = evaluate_model(corpus, kb, model, desc_emb, digest=config_digest(cfg))
     report = _metric_filter(report, getattr(args, "metric", None))
     out_dir, outputs = _optional_out(args)
-    with _output_lock(out_dir):
-        _append_run_log(out_dir, "eval", cfg,
-                        {"captions": captions_sha, "knowledge": knowledge_sha,
-                         "model": model_sha}, outputs)
+    with _guarded(out_dir, "eval", cfg,
+                  {"captions": captions_sha, "knowledge": knowledge_sha, "model": model_sha},
+                  outputs):
         _report_to_streams(report, args)
     return 0
 
@@ -424,7 +410,8 @@ def cmd_explain(args) -> int:
                                                 video_id=args.video_id)
     video = corpus.video(args.video_id)
     kb, knowledge_sha = _load_kb(args, cfg)
-    model, model_sha = load_model(args.model, digest=True)
+    data, model_sha = _read_hashed(args.model)
+    model = load_model(args.model, data=data)
     desc_emb, _ = _embedder_configs(cfg)
 
     y, _, h_d = predict_video(video, kb, model, desc_emb)
@@ -448,10 +435,9 @@ def cmd_explain(args) -> int:
         backend = RemoteGenerator(gen_endpoint, cache_dir=_cache_dir(cfg))
     record = attach_rationale(record, backend)
     out_dir, outputs = _optional_out(args)
-    with _output_lock(out_dir):
+    with _guarded(out_dir, "explain", cfg, inputs, outputs):
         if outputs:
             Path(args.out).write_text(record.to_json() + "\n", encoding="utf-8")
-        _append_run_log(out_dir, "explain", cfg, inputs, outputs)
     print(record.to_json())
     return 0
 
@@ -480,11 +466,10 @@ def cmd_ablate(args) -> int:
     pipeline = _pipeline_config(cfg, summarizer=_summarizer(cfg, args), prompts=_prompts(cfg))
     rows = ablate_slots(train_corpus, test_corpus, combos, pipeline)
     out_path = Path(args.out)
-    with _output_lock(out_path.parent):
+    with _guarded(out_path.parent, "ablate", cfg,
+                  {"captions": captions_sha, "test_captions": test_captions_sha},
+                  [str(out_path)]):
         out_path.write_text(ablation_csv(rows), encoding="utf-8")
-        _append_run_log(out_path.parent, "ablate", cfg,
-                        {"captions": captions_sha, "test_captions": test_captions_sha},
-                        [str(out_path)])
     print(ablation_csv(rows), file=sys.stderr, end="")
     _emit({"rows": [{"aspects": list(r.active_aspects), "auc": None if r.failed else r.auc,
                      "ap": None if r.failed else r.ap, "error": r.error} for r in rows],
@@ -512,9 +497,8 @@ def cmd_cross_eval(args) -> int:
     pipeline = _pipeline_config(cfg, summarizer=_summarizer(cfg, args), prompts=_prompts(cfg))
     report = cross_eval(train_corpus, test_corpus, pipeline)
     out_dir, outputs = _optional_out(args)
-    with _output_lock(out_dir):
-        _append_run_log(out_dir, "cross-eval", cfg,
-                        {"captions": captions_sha, "test_captions": test_captions_sha}, outputs)
+    with _guarded(out_dir, "cross-eval", cfg,
+                  {"captions": captions_sha, "test_captions": test_captions_sha}, outputs):
         _report_to_streams(report, args)
     return 0
 

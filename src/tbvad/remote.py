@@ -35,13 +35,12 @@ _RETRIABLE_4XX = (408, 429)
 
 
 def http_timeout_seconds() -> float:
-    """Resolve the HTTP timeout from TBVAD_HTTP_TIMEOUT_MS (milliseconds)."""
-    raw = os.environ.get("TBVAD_HTTP_TIMEOUT_MS", "")
+    """TBVAD_HTTP_TIMEOUT_MS (milliseconds) in seconds if a positive integer, else the default."""
     try:
-        ms = int(raw) if raw else DEFAULT_TIMEOUT_MS
+        ms = int(os.environ.get("TBVAD_HTTP_TIMEOUT_MS", ""))
     except ValueError:
-        ms = DEFAULT_TIMEOUT_MS
-    return ms / 1000.0
+        ms = 0
+    return (ms if ms > 0 else DEFAULT_TIMEOUT_MS) / 1000.0
 
 
 def default_cache_dir() -> Path | None:
@@ -52,9 +51,9 @@ def default_cache_dir() -> Path | None:
 def post_json(url: str, payload: dict) -> dict:
     """POST a JSON payload, retrying transient failures.
 
-    Connection errors, timeouts, invalid JSON and non-200 responses are
-    retried, except a 4xx other than 408 (timeout) and 429 (too many
-    requests): the request itself is at fault, so it fails at once.
+    Connection errors, timeouts, a body that is not a JSON object and non-200
+    responses are retried, except a 4xx other than 408 (timeout) and 429 (too
+    many requests): the request itself is at fault, so it fails at once.
     Raises RemoteServiceError carrying the attempt count.
     """
     timeout = http_timeout_seconds()
@@ -67,7 +66,10 @@ def post_json(url: str, payload: dict) -> dict:
         else:
             if resp.status_code == 200:
                 try:
-                    return resp.json()
+                    body = resp.json()
+                    if isinstance(body, dict):
+                        return body
+                    last_error = f"response is a JSON {type(body).__name__}, not an object"
                 except ValueError as e:
                     last_error = f"invalid JSON in response: {e}"
             else:

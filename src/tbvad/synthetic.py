@@ -85,6 +85,8 @@ class SyntheticConfig:
             raise ValidationError("frames_per_video must be >= 3")
         if not (0.0 <= self.anomaly_frame_ratio <= 1.0):
             raise ValidationError("anomaly_frame_ratio must be in [0, 1]")
+        if not (0.0 <= self.normal_noise_rate <= 1.0):
+            raise ValidationError("normal_noise_rate must be in [0, 1]")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         self.planted_aspects = validate_aspects(self.planted_aspects)

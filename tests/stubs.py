@@ -26,14 +26,17 @@ class StubService:
 
     ``embed_fn(text, dim) -> list[float]`` and ``generate_fn(prompt) -> str``
     control responses.  ``fail_times`` makes the first N requests return
-    ``status`` (500 by default), for retry tests.
+    ``status`` (500 by default), for retry tests.  ``body``, if given, is the
+    raw body of every 200 response on either path.
     """
 
-    def __init__(self, embed_fn=None, generate_fn=None, fail_times: int = 0, status: int = 500):
+    def __init__(self, embed_fn=None, generate_fn=None, fail_times: int = 0, status: int = 500,
+                 body: bytes | None = None):
         self.embed_fn = embed_fn or (lambda text, dim: [float(len(text))] * dim)
         self.generate_fn = generate_fn or (lambda prompt: "stub summary.")
         self.fail_times = fail_times
         self.status = status
+        self.body = body
         self.requests: list[dict] = []
         self._lock = threading.Lock()
 
@@ -59,7 +62,7 @@ class StubService:
                     self.send_response(404)
                     self.end_headers()
                     return
-                data = json.dumps(payload).encode("utf-8")
+                data = json.dumps(payload).encode("utf-8") if stub.body is None else stub.body
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))

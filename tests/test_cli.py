@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,13 @@ from tbvad.synthetic import SyntheticConfig, generate_corpus
 
 from stubs import StubService, float32_vector
 
+try:
+    import fcntl
+except ImportError:
+    fcntl = None
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+needs_flock = pytest.mark.skipif(fcntl is None, reason="the output lock is a flock only with fcntl")
 
 
 @pytest.fixture(autouse=True)
@@ -47,12 +54,58 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env(hash_seed="0") -> dict:
+    """The environment of a child interpreter that imports this checkout's tbvad."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=hash_seed)
+
+
 def run_tbvad(*argv, cwd, hash_seed="0"):
     """Run the CLI in a fresh interpreter, as a user's shell would."""
-    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=hash_seed)
-    return subprocess.run([sys.executable, "-m", "tbvad.cli", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", "tbvad.cli", *argv], cwd=cwd,
+                          env=child_env(hash_seed), capture_output=True, text=True, timeout=120)
+
+
+def start_child(code: str, *argv) -> subprocess.Popen:
+    """A child interpreter running ``code`` over pipes; the code should end when its stdin closes.
+
+    Used as a context manager, which closes stdin and waits for the child.
+    """
+    return subprocess.Popen([sys.executable, "-c", code, *argv], env=child_env(),
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+
+# Holds a flock on argv[1] until stdin closes.
+HOLD_LOCK = """
+import fcntl, sys
+with open(sys.argv[1], "a") as lock:
+    fcntl.flock(lock, fcntl.LOCK_EX)
+    print("held", flush=True)
+    sys.stdin.read()
+"""
+
+# Waits for a line on stdin, then tries the output lock of directory argv[1],
+# holding it until stdin closes if it wins.
+CONTEND = """
+import sys
+from pathlib import Path
+from tbvad.cli import _output_lock
+from tbvad.errors import TbvadError
+print("ready", flush=True)
+sys.stdin.readline()
+try:
+    with _output_lock(Path(sys.argv[1])):
+        print("won", flush=True)
+        sys.stdin.read()
+except TbvadError:
+    print("lost", flush=True)
+"""
+
+
+def dead_pid() -> int:
+    with subprocess.Popen([sys.executable, "-c", "pass"]) as child:
+        pass
+    return child.pid
 
 
 def cli_config(tmp_path, **overrides):
@@ -201,6 +254,8 @@ class TestValidation:
         ("gen-synth", {"seed": -1}),
         ("train", {"embedder": {"d": 32, "max_tokens": 512, "max_parallel": 0}}),
         ("train", {"embedder": {"d": 32, "max_tokens": 512, "max_parallel": -3}}),
+        ("gen-synth", {"synthetic": {"normal_noise_rate": 5.0}}),
+        ("gen-synth", {"synthetic": {"normal_noise_rate": -0.5}}),
     ])
     def test_out_of_range_value_is_one_error_line(self, workspace, tmp_path, capsys,
                                                   command, overrides):
@@ -219,6 +274,20 @@ class TestValidation:
                                *flags)
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--embed-endpoint", "--gen-endpoint"])
+    def test_service_reply_that_is_not_a_json_object_is_one_error_line(self, workspace, tmp_path,
+                                                                       capsys, monkeypatch, flag):
+        monkeypatch.setattr("tbvad.remote.BACKOFF_S", 0.0)
+        monkeypatch.delenv("TBVAD_CACHE_DIR", raising=False)
+        with StubService(body=b"[1, 2]") as svc:
+            code, _, err = run_cli(capsys, "build-knowledge", "--config", workspace["cfg"],
+                                   "--captions", str(workspace["data"] / "train.jsonl"),
+                                   "--out", str(tmp_path / "kb.json"), flag, svc.endpoint)
+            assert svc.request_count == 3
+        assert code == 2
+        (line,) = err.splitlines()
+        assert line.startswith("runtime error:") and "JSON list, not an object" in line
 
     def test_prompts_not_in_the_config_keep_the_shipped_template(self, tmp_path):
         args = argparse.Namespace(config=cli_config(tmp_path, prompts={"object": "O: {captions}"}))
@@ -744,38 +813,98 @@ class TestDeterminism:
         assert entry["command"] == "gen-synth"
         assert len(entry["config_digest"]) == 64
 
+    @needs_flock
     def test_lock_file_blocks_concurrent_writers(self, tmp_path, capsys):
         cfg = cli_config(tmp_path)
         data = tmp_path / "d"
         data.mkdir()
-        (data / ".tbvad.lock").write_text(str(os.getpid()))
-        code, _, err = run_cli(capsys, "gen-synth", "--config", cfg, "--out", str(data))
+        with open(data / ".tbvad.lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            code, _, err = run_cli(capsys, "gen-synth", "--config", cfg, "--out", str(data))
         assert code == 2
         assert "locked" in err
+        assert not (data / "train.jsonl").exists()
 
-    @pytest.mark.skipif(os.name != "posix", reason="PIDs are probed with signal 0")
+    @needs_flock
     def test_lock_of_a_process_that_is_gone_is_taken_over(self, tmp_path, capsys):
         cfg = cli_config(tmp_path)
         data = tmp_path / "d"
         data.mkdir()
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
-        (data / ".tbvad.lock").write_text(str(child.pid))
+        with start_child(HOLD_LOCK, str(data / ".tbvad.lock")) as child:
+            assert child.stdout.readline() == "held\n"
+            child.kill()
+            child.wait(timeout=60)
         code, _, err = run_cli(capsys, "gen-synth", "--config", cfg, "--out", str(data))
         assert code == 0, err
         assert (data / "train.jsonl").exists()
-        assert not (data / ".tbvad.lock").exists()
+        assert (data / ".tbvad.lock").exists()
 
-    @pytest.mark.parametrize("content", ["not-a-pid", "", "0", "-1"])
-    def test_lock_without_a_pid_blocks(self, tmp_path, capsys, content):
+    @needs_flock
+    def test_lock_of_a_live_process_blocks_until_it_exits(self, tmp_path, capsys):
         cfg = cli_config(tmp_path)
         data = tmp_path / "d"
         data.mkdir()
-        (data / ".tbvad.lock").write_text(content)
+        with start_child(HOLD_LOCK, str(data / ".tbvad.lock")) as child:
+            assert child.stdout.readline() == "held\n"
+            code, _, err = run_cli(capsys, "gen-synth", "--config", cfg, "--out", str(data))
+            assert code == 2
+            assert "locked" in err
+        code, _, err = run_cli(capsys, "gen-synth", "--config", cfg, "--out", str(data))
+        assert code == 0, err
+
+    @needs_flock
+    @pytest.mark.parametrize("content", ["not-a-pid", "", "0", "-1", "dead-child", "1"])
+    def test_leftover_lock_file_does_not_block(self, tmp_path, capsys, content):
+        cfg = cli_config(tmp_path)
+        data = tmp_path / "d"
+        data.mkdir()
+        (data / ".tbvad.lock").write_text(str(dead_pid()) if content == "dead-child" else content)
+        code, _, err = run_cli(capsys, "gen-synth", "--config", cfg, "--out", str(data))
+        assert code == 0, err
+        assert (data / "train.jsonl").exists()
+
+    def test_lock_is_released_when_the_command_fails_inside_it(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        bad = cli_config(tmp_path, synthetic={"domain": "zz"})
+        code, _, err = run_cli(capsys, "gen-synth", "--config", bad, "--out", str(data))
+        assert code == 1
+        assert "zz" in err
+        assert not (data / "runs.log").exists()
+        code, _, err = run_cli(capsys, "gen-synth", "--config", cli_config(tmp_path),
+                               "--out", str(data))
+        assert code == 0, err
+
+    @needs_flock
+    def test_one_of_four_simultaneous_runs_takes_a_leftover_lock(self, tmp_path):
+        data = tmp_path / "d"
+        data.mkdir()
+        (data / ".tbvad.lock").write_text(str(dead_pid()))
+        with ExitStack() as stack:
+            children = [stack.enter_context(start_child(CONTEND, str(data))) for _ in range(4)]
+            for child in children:
+                assert child.stdout.readline() == "ready\n"
+            for child in children:
+                child.stdin.write("go\n")
+                child.stdin.flush()
+            results = sorted(child.stdout.readline() for child in children)
+        assert results == ["lost\n"] * 3 + ["won\n"]
+
+    def test_without_fcntl_a_lock_file_blocks_and_a_run_removes_its_own(self, tmp_path, capsys,
+                                                                          monkeypatch):
+        monkeypatch.setattr("tbvad.cli.fcntl", None)
+        cfg = cli_config(tmp_path)
+        data = tmp_path / "d"
+        data.mkdir()
+        lock = data / ".tbvad.lock"
+        lock.write_text("")
         code, _, err = run_cli(capsys, "gen-synth", "--config", cfg, "--out", str(data))
         assert code == 2
-        assert "locked" in err
-        assert (data / ".tbvad.lock").read_text() == content
+        assert f"remove {lock} if stale" in err
+        assert lock.exists() and not (data / "train.jsonl").exists()
+        lock.unlink()
+        code, _, err = run_cli(capsys, "gen-synth", "--config", cfg, "--out", str(data))
+        assert code == 0, err
+        assert not lock.exists()
 
 
 class TestAblate:

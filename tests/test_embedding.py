@@ -496,5 +496,6 @@ class TestRemoteEmbedder:
         from tbvad.remote import http_timeout_seconds
         monkeypatch.setenv("TBVAD_HTTP_TIMEOUT_MS", "2500")
         assert http_timeout_seconds() == 2.5
-        monkeypatch.setenv("TBVAD_HTTP_TIMEOUT_MS", "junk")
-        assert http_timeout_seconds() == 30.0
+        for raw in ("junk", "0", "-5"):
+            monkeypatch.setenv("TBVAD_HTTP_TIMEOUT_MS", raw)
+            assert http_timeout_seconds() == 30.0
