@@ -9,10 +9,11 @@ its training signal through a gated residual: the importance-weighted slot
 context (computed against class-agnostic prototypes) is added to the pooled
 description before projection, with the scalar gate initialized to zero.
 
-Every video is one segment of evenly sampled captions.  The videos of one
-segment shape form a (B, T, d) group, which takes one encoder pass and one
-head pass; each video's numbers are bit for bit those of a group of one,
-and the head's gradients are added video by video in batch order.
+Every video is one segment of evenly sampled captions, never padded.  The
+videos of one segment shape form a (B, T, d) group, which takes one encoder
+pass and one head pass; each video's numbers are bit for bit those of a
+group of one, and the head's gradients are added video by video in batch
+order.
 Training minimizes mean video-level binary cross-entropy with L2 on the
 weight matrices, by plain seeded-shuffle mini-batch gradient descent.  All
 gradients are analytic and finite-difference checked in the test suite.
@@ -202,8 +203,6 @@ class _HeadCache(NamedTuple):
     """Forward state of the head over one (B, T, d) shape group; row b is video b."""
 
     h: np.ndarray
-    mask: np.ndarray
-    count: np.ndarray
     a: np.ndarray
     c: np.ndarray
     w: np.ndarray
@@ -231,21 +230,19 @@ def _matvecs(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (m @ x[:, :, None])[..., 0]
 
 
-def _head_forward(params: ModelParams, h: np.ndarray, mask: np.ndarray,
-                  know: KnowledgeInputs):
+def _head_forward(params: ModelParams, h: np.ndarray, know: KnowledgeInputs):
     """Slot attention, importance, gated residual and fusion logits of one shape group.
 
-    ``h`` is the group's encoded (B, T, d) stack and ``mask`` its (B, T)
-    mask; returns the (B,) logits and the cache.  Every matmul keeps the
-    core shape a single segment gives it, so each video's numbers are bit
-    for bit those of a group of one.
+    ``h`` is the group's encoded (B, T, d) stack; returns the (B,) logits
+    and the cache.  Every matmul keeps the core shape a single segment
+    gives it, so each video's numbers are bit for bit those of a group of
+    one.
     """
-    count = mask.sum(axis=1)
-    # Boolean selection per video: a masked sum over T would add the masked
-    # rows' zeros and, at d = 1, sum in another order.
-    hbar = np.array([h_b[m_b].sum(axis=0) for h_b, m_b in zip(h, mask)]) / count[:, None]
+    # One sum per video's (T, d) slice: a sum over axis 1 of the stack has
+    # not been shown to add in the same order at d = 1.
+    hbar = np.array([h_b.sum(axis=0) for h_b in h]) / h.shape[1]
     protos = know.prototypes
-    a, c = slot_attention(protos, h, mask)
+    a, c = slot_attention(protos, h)
     z, f_cache = importance_forward(c, protos, params.importance)
     w = softmax(z)
     ctx = (w[:, None, :] @ c)[:, 0]
@@ -260,7 +257,7 @@ def _head_forward(params: ModelParams, h: np.ndarray, mask: np.ndarray,
     dl = params.config.d_latent
     logits = _dots(p_d, params.fuse_w[:dl]) + params.fuse_w[dl:] @ p_v
     logits += params.fuse_b[0]
-    return logits, _HeadCache(h, mask, count, a, c, w, u, norm, pooled, p_d, p_v, f_cache)
+    return logits, _HeadCache(h, a, c, w, u, norm, pooled, p_d, p_v, f_cache)
 
 
 # Head parameters whose per-video gradient terms are vectors, in the column
@@ -311,12 +308,11 @@ def _head_backward(dlogit: np.ndarray, params: ModelParams, know: KnowledgeInput
     dc_f, f_grads, dpre = importance_backward(dz, cache.f_cache, params.importance)
     dc = dc + dc_f
 
-    h, mask = cache.h, cache.mask
+    h = cache.h
     da = dc @ h.swapaxes(1, 2)
     dh = cache.a.swapaxes(1, 2) @ dc
-    da = da * mask[:, None, :]
     dh += da.swapaxes(1, 2) @ protos / math.sqrt(params.config.d_model)
-    np.add(dh, (dhbar / cache.count[:, None])[:, None, :], out=dh, where=mask[:, :, None])
+    dh += (dhbar / h.shape[1])[:, None, :]
 
     vectors = np.concatenate([
         dlogit_col, dlogit_col * cache.p_d, dlogit_col * cache.p_v, dp_v, dp_d, dgate[:, None],
@@ -327,12 +323,11 @@ def _head_backward(dlogit: np.ndarray, params: ModelParams, know: KnowledgeInput
 
 @dataclass
 class VideoFeatures:
-    """One video's segment: its sampled caption vectors (T, d) and their mask (T,)."""
+    """One video's segment: its sampled caption vectors (T, d)."""
 
     video_id: str
     target: float
     x: np.ndarray
-    mask: np.ndarray
 
 
 def _frame_vectors(embedder, texts: list[str]) -> np.ndarray:
@@ -364,8 +359,7 @@ def videos_features(videos, emb_cfg: EmbedderConfig, k_frames: int,
         x = vectors[start:start + len(caps)]
         start += len(caps)
         target = 1.0 if video.label == "abnormal" else 0.0
-        out.append(VideoFeatures(video_id=video.video_id, target=target, x=x,
-                                 mask=np.ones(len(caps), dtype=bool)))
+        out.append(VideoFeatures(video_id=video.video_id, target=target, x=x))
     return out
 
 
@@ -385,13 +379,13 @@ class _Segment(NamedTuple):
 class _BatchForward:
     """Forward state of a list of videos.
 
-    ``segments[v]`` says where video v sits.  Shape group g has the (B, T)
-    mask and the encoder caches ``groups[g]`` of one encoder_forward, and
-    the cache ``heads[g]`` and logits ``logits[g]`` of one head call.
+    ``segments[v]`` says where video v sits.  Shape group g has the encoder
+    caches ``groups[g]`` of one encoder_forward, and the cache ``heads[g]``
+    and logits ``logits[g]`` of one head call.
     """
 
     segments: list[_Segment]
-    groups: list[tuple[np.ndarray, list]]
+    groups: list[list]
     heads: list[_HeadCache]
     logits: list[list[float]]
 
@@ -409,12 +403,12 @@ def _forward(params: ModelParams, batch: list[VideoFeatures],
         by_shape.setdefault(feats.x.shape, []).append(v)
     fwd = _BatchForward(segments=[None] * len(batch), groups=[], heads=[], logits=[])
     for ids in by_shape.values():
-        mask = np.stack([batch[v].mask for v in ids])
-        h, caches = encoder_forward(np.stack([batch[v].x for v in ids]), mask, params.encoder)
-        logits, head = _head_forward(params, h, mask, know)
+        x = np.stack([batch[v].x for v in ids])
+        h, caches = encoder_forward(x, np.ones(x.shape[:2], dtype=bool), params.encoder)
+        logits, head = _head_forward(params, h, know)
         for row, v in enumerate(ids):
             fwd.segments[v] = _Segment(len(fwd.groups), row)
-        fwd.groups.append((mask, caches))
+        fwd.groups.append(caches)
         fwd.heads.append(head)
         fwd.logits.append(logits.tolist())
     return fwd
@@ -456,11 +450,11 @@ def _encoder_backward(params: ModelParams, fwd: _BatchForward,
                  if name.startswith("encoder.layers.")}
     for g, run in itertools.groupby(fwd.segments, key=lambda seg: seg.group):
         rows = [seg.row for seg in run]
-        (mask, caches), dh = fwd.groups[g], dhs[g]
-        if len(rows) != mask.shape[0]:
-            mask, dh = mask[rows], dh[rows]
+        caches, dh = fwd.groups[g], dhs[g]
+        if len(rows) != dh.shape[0]:
+            dh = dh[rows]
             caches = [tuple(arr[rows] for arr in layer) for layer in caches]
-        encoder_backward(dh, mask, params.encoder, caches, enc_grads)
+        encoder_backward(dh, np.ones(dh.shape[:2], dtype=bool), params.encoder, caches, enc_grads)
 
 
 def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
@@ -598,12 +592,11 @@ PREDICT_CHUNK = 16
 
 
 class Prediction(NamedTuple):
-    """One scored video, unchecked: anomaly probability, P_d, and H_d with its mask."""
+    """One scored video, unchecked: anomaly probability, P_d and H_d."""
 
     y: float
     p_d: np.ndarray
     h: np.ndarray
-    mask: np.ndarray
 
 
 def predict_videos(videos, kb: KnowledgeBase, model: ModelParams,
@@ -638,16 +631,15 @@ def predict_videos(videos, kb: KnowledgeBase, model: ModelParams,
         fwd = _forward(model, feats[start:start + PREDICT_CHUNK], know)
         for g, row in fwd.segments:
             head = fwd.heads[g]
-            out.append(Prediction(_sigmoid(fwd.logits[g][row]), head.p_d[row], head.h[row],
-                                  head.mask[row]))
+            out.append(Prediction(_sigmoid(fwd.logits[g][row]), head.p_d[row], head.h[row]))
     return out
 
 
 def predict_video(video: VideoRecord, kb: KnowledgeBase, model: ModelParams,
                   emb: EmbedderConfig):
     """Score one video for reasoning; returns (y, P_d, H_d) with H_d a checked sequence."""
-    y, p_d, h, mask = predict_videos([video], kb, model, emb)[0]
-    return y, p_d, TokenEmbeddingSeq(vectors=h, mask=mask.copy())
+    y, p_d, h = predict_videos([video], kb, model, emb)[0]
+    return y, p_d, TokenEmbeddingSeq(vectors=h)
 
 
 def serialize_model(model: ModelParams) -> bytes:

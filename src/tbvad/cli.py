@@ -2,13 +2,14 @@
 
 One subcommand per stage: gen-synth, build-knowledge, train, eval, explain,
 ablate, caption-stats, cross-eval.  Machine-readable JSON goes to stdout;
-human-readable tables go to stderr; artifacts land at --out.  A run locks
-its output directory (``_output_lock``) and, once its outputs are written,
-appends a provenance line (config digest, input digests, timestamp) to the
-``runs.log`` there.
+human-readable tables go to stderr; artifacts land at --out.  A run that
+writes files locks their directory (``_output_lock``) and, once they are
+written, appends a provenance line (config digest, input digests,
+timestamp) to the ``runs.log`` there; a run that only prints logs to
+``./runs.log`` without a lock.
 
-Exit codes: 0 success, 1 validation error (bad flags, files, or config),
-2 runtime error.
+Exit codes: 0 success, 1 validation error (bad flags or config, or an input
+file that is missing, not a regular file or malformed), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -141,9 +142,7 @@ def resolve_config(args) -> dict:
     """Merge defaults, an optional --config file, and flag overrides."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ValidationError(f"--config file does not exist: {path}")
+        path = _input_file(args.config, "config")
         try:
             user_cfg = json.loads(path.read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
@@ -274,8 +273,12 @@ def _output_lock(out_dir: Path):
 
 @contextmanager
 def _guarded(out_dir: Path, command: str, cfg: dict, inputs: dict, outputs: list):
-    """Run the body under ``out_dir``'s lock; if it returns, log the run to ``runs.log``."""
-    with _output_lock(out_dir):
+    """Run the body, under ``out_dir``'s lock if it writes ``outputs``; if it returns, log the run.
+
+    A command that writes no file takes no lock, so runs that only print do
+    not exclude one another.
+    """
+    with _output_lock(out_dir) if outputs else nullcontext():
         yield
         line = {"ts": datetime.now(timezone.utc).isoformat(), "command": command,
                 "config_digest": config_digest(cfg), "input_digests": inputs, "outputs": outputs}
@@ -322,15 +325,16 @@ def cmd_gen_synth(args) -> int:
     train_path = out_dir / "train.jsonl"
     test_path = out_dir / "test.jsonl"
     manifest_path = out_dir / "manifest.json"
+    test_manifest_path = out_dir / "manifest_test.json"
     with _guarded(out_dir, "gen-synth", cfg, {},
-                  [str(train_path), str(test_path), str(manifest_path)]):
+                  [str(train_path), str(test_path), str(manifest_path), str(test_manifest_path)]):
         train_cfg = domain_config(domain, seed=cfg["seed"],
                                   source_tag=f"synth-{domain}-train", **base)
         write_corpus(train_cfg, train_path, manifest_path)
         test_cfg = domain_config(domain, seed=cfg["seed"] + 1,
                                  source_tag=f"synth-{domain}-test",
                                  **{**base, "n_videos": test_videos})
-        write_corpus(test_cfg, test_path, out_dir / "manifest_test.json")
+        write_corpus(test_cfg, test_path, test_manifest_path)
     _emit({"train": str(train_path), "test": str(test_path),
            "manifest": str(manifest_path), "seed": cfg["seed"]})
     return 0
@@ -354,16 +358,25 @@ def cmd_build_knowledge(args) -> int:
     return 0
 
 
-def _read_hashed(path) -> tuple[bytes, str]:
+def _input_file(path, flag: str) -> Path:
+    """``path``, the value of ``--flag``, if it names a regular file; else a ValidationError."""
+    path = Path(path)
+    if not path.is_file():
+        state = "is not a regular file" if path.exists() else "does not exist"
+        raise ValidationError(f"--{flag} file {state}: {path}")
+    return path
+
+
+def _read_hashed(path, flag: str) -> tuple[bytes, str]:
     """A file's bytes and their SHA-256, so that the logged digest is of what was parsed."""
-    data = Path(path).read_bytes()
+    data = _input_file(path, flag).read_bytes()
     return data, hashlib.sha256(data).hexdigest()
 
 
 def _load_kb(args, cfg: dict):
     """The knowledge base and the SHA-256 of the very bytes it was parsed from."""
     _, know = _embedder_configs(cfg)
-    data, sha = _read_hashed(args.knowledge)
+    data, sha = _read_hashed(args.knowledge, "knowledge")
     kb = load_knowledge(args.knowledge, endpoint=know.endpoint, cache_dir=know.cache_dir,
                         max_tokens=know.max_tokens, max_parallel=know.max_parallel, data=data)
     return kb, sha
@@ -390,7 +403,7 @@ def cmd_eval(args) -> int:
     _require(args, "captions", "knowledge", "model")
     corpus, captions_sha = load_hashed_captions(args.captions, _cache_dir(cfg))
     kb, knowledge_sha = _load_kb(args, cfg)
-    data, model_sha = _read_hashed(args.model)
+    data, model_sha = _read_hashed(args.model, "model")
     model = load_model(args.model, data=data)
     desc_emb, _ = _embedder_configs(cfg)
     report = evaluate_model(corpus, kb, model, desc_emb, digest=config_digest(cfg))
@@ -410,7 +423,7 @@ def cmd_explain(args) -> int:
                                                 video_id=args.video_id)
     video = corpus.video(args.video_id)
     kb, knowledge_sha = _load_kb(args, cfg)
-    data, model_sha = _read_hashed(args.model)
+    data, model_sha = _read_hashed(args.model, "model")
     model = load_model(args.model, data=data)
     desc_emb, _ = _embedder_configs(cfg)
 
@@ -418,7 +431,7 @@ def cmd_explain(args) -> int:
     predicted_v = "a" if y >= 0.5 else "n"
     # Both classes' prototypes in one (2, S, d) stack; row i is CLASSES[i].
     protos = np.stack([kb.prototypes[v] for v in CLASSES])
-    _, c = slot_attention(protos, h_d.vectors, h_d.mask)
+    _, c = slot_attention(protos, h_d.vectors)
     w = slot_importance(c, protos, model.importance)
     w_pred = w[CLASSES.index(predicted_v)]
     evidences = retrieve_evidence(mean_pool(h_d), kb, predicted_v, w_pred, k=cfg["topk"])
@@ -446,7 +459,7 @@ def _load_combos(spec: str) -> list[tuple[str, ...]]:
     if spec == "table3":
         return [tuple(c) for c in TABLE3_COMBOS]
     path = Path(spec)
-    if not path.exists():
+    if not path.is_file():
         raise ValidationError(f"--combos must be 'table3' or a JSON file path, got {spec!r}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))

@@ -143,6 +143,8 @@ def _existing(path: str | Path) -> Path:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"caption file does not exist: {path}")
+    if not path.is_file():
+        raise ValidationError(f"caption file is not a regular file: {path}")
     return path
 
 

@@ -105,23 +105,17 @@ class EmbedderConfig:
 
 @dataclass
 class TokenEmbeddingSeq:
-    """A T x d matrix of token embeddings with a padding mask (True = real token)."""
+    """A T x d matrix of token embeddings, one row per token."""
 
     vectors: np.ndarray
-    mask: np.ndarray
     d: int = field(default=0)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=bool)
         if self.vectors.ndim != 2 or self.vectors.shape[0] < 1:
             raise ValidationError(f"vectors must be a T x d matrix with T >= 1, got shape {self.vectors.shape}")
-        if self.mask.shape != (self.vectors.shape[0],):
-            raise ValidationError("mask length must equal the number of rows")
         if not np.all(np.isfinite(self.vectors)):
             raise ValidationError("embedding matrix contains non-finite values")
-        if np.any(self.vectors[~self.mask] != 0.0):
-            raise ValidationError("masked-out rows must be all-zero")
         self.d = self.vectors.shape[1]
 
     @property
@@ -165,7 +159,7 @@ class _TokenEmbedder:
     def embed_tokens(self, text: str) -> TokenEmbeddingSeq:
         tokens = self._tokens(text)
         vectors = np.stack(self._lookup(tokens))
-        return TokenEmbeddingSeq(vectors=vectors, mask=np.ones(len(tokens), dtype=bool))
+        return TokenEmbeddingSeq(vectors=vectors)
 
     def embed_captions(self, texts: list[str]) -> np.ndarray:
         """Mean-pooled embedding of each text as one (n, d) array, in one pass.
@@ -316,13 +310,10 @@ def embed_tokens(text: str, cfg: EmbedderConfig) -> TokenEmbeddingSeq:
 
 
 def mean_pool(seq: TokenEmbeddingSeq) -> np.ndarray:
-    """Arithmetic mean over unmasked rows only."""
-    count = int(seq.mask.sum())
-    if count == 0:
-        raise ValidationError("cannot mean-pool a sequence whose rows are all masked")
+    """Arithmetic mean of the rows."""
     # A running sum down the rows, the order embed_captions pools in: on a
     # one-column input, sum(axis=0) adds pairwise and can differ in the last bit.
-    return np.cumsum(seq.vectors[seq.mask], axis=0)[-1] / count
+    return np.cumsum(seq.vectors, axis=0)[-1] / seq.t
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

@@ -4,8 +4,7 @@ The stack maps a batch of B equal-length T x d_model sequences, stacked as
 (B, T, d_model), through L pre-layer-norm encoder layers (multi-head
 self-attention + GELU feed-forward, residual around each).  The pooled
 projection (w_d, b_d) is stored with the encoder, but the classifier head
-applies it, after its masked mean pool, to give the latent description
-vector.
+applies it, after its mean pool, to give the latent description vector.
 Forward passes record the intermediates needed for the manual backward
 pass; analytic gradients are verified against central finite differences in
 the test suite, so every derivative here is exact for the implemented
@@ -15,7 +14,8 @@ batch of one gives it.
 Fixed sinusoidal positional encodings are added before the first layer
 (caption order is frame order, so position carries signal); an empty stack
 is the identity.  Masked positions are excluded from attention via additive
--inf scores and zeroed in the output.
+-inf scores and zeroed in the output; the classifier never pads a segment
+and passes an all-True mask.
 """
 
 from __future__ import annotations

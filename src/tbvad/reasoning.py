@@ -51,17 +51,15 @@ class Evidence:
             raise ValidationError("evidence rank must be positive")
 
 
-def slot_attention(k_v: np.ndarray, h: np.ndarray,
-                   mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A = K_v H^T / sqrt(d) with masked token columns zeroed, and C = A H.
+def slot_attention(k_v: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A = K_v H^T / sqrt(d) and C = A H.
 
-    ``h`` is one (T, d) segment or a stack (..., T, d) with a mask (..., T);
-    ``k_v`` is (S, d) or a stack (..., S, d) of prototypes.  Each slice takes
-    the matmuls a single call does, so its A and C are bit for bit the same.
-    No checks: callers pass arrays the forward has just produced.
+    ``h`` is one (T, d) segment or a stack (..., T, d); ``k_v`` is (S, d)
+    or a stack (..., S, d) of prototypes.  Each slice takes the matmuls a
+    single call does, so its A and C are bit for bit the same.  No checks:
+    callers pass arrays the forward has just produced.
     """
     a = (k_v @ h.swapaxes(-1, -2)) / math.sqrt(h.shape[-1])
-    a = a * mask[..., None, :]
     return a, a @ h
 
 

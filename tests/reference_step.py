@@ -186,13 +186,12 @@ def encoder_backward(dh, mask, params, caches):
     return dz * math.sqrt(params.d_model), grads
 
 
-def segment_forward(params, x, mask, know):
-    h, caches = encoder_forward(x, mask, params.encoder)
-    count = int(mask.sum())
-    hbar = h[mask].sum(axis=0) / count
+def segment_forward(params, x, know):
+    h, caches = encoder_forward(x, np.ones(len(x), dtype=bool), params.encoder)
+    count = len(h)
+    hbar = h.sum(axis=0) / count
     protos = know.prototypes
-    a_raw = (protos @ h.T) / math.sqrt(params.config.d_model)
-    a = a_raw * mask[None, :]
+    a = (protos @ h.T) / math.sqrt(params.config.d_model)
     c = a @ h
     z, f_cache = importance_forward(c, protos, params.importance)
     w = softmax(z)
@@ -209,7 +208,7 @@ def segment_forward(params, x, mask, know):
     return logit, cache
 
 
-def segment_backward(dlogit, params, x, mask, know, cache, grads):
+def segment_backward(dlogit, params, know, cache, grads):
     h, caches, count, hbar, a, c, z, w, u, norm, pooled, p_d, p_v, f_cache = cache
     dl = params.config.d_latent
     protos = know.prototypes
@@ -246,18 +245,17 @@ def segment_backward(dlogit, params, x, mask, know, cache, grads):
 
     da = dc @ h.T
     dh = a.T @ dc
-    da = da * mask[None, :]
     dh += da.T @ protos / math.sqrt(params.config.d_model)
-    dh[mask] += dhbar / count
+    dh += dhbar / count
 
-    _, enc_grads = encoder_backward(dh, mask, params.encoder, caches)
+    _, enc_grads = encoder_backward(dh, np.ones(len(dh), dtype=bool), params.encoder, caches)
     for name, val in enc_grads.items():
         grads[f"encoder.{name}"] += val
 
 
 def video_logit(params, feats, know):
     """A video's logit and the forward cache of its one segment."""
-    return segment_forward(params, feats.x, feats.mask, know)
+    return segment_forward(params, feats.x, know)
 
 
 def batch_loss_and_grads(params, batch, know, l2_weight):
@@ -271,7 +269,7 @@ def batch_loss_and_grads(params, batch, know, l2_weight):
         loss = math.log1p(math.exp(-abs(logit))) + max(logit, 0.0) - t * logit
         total += loss / n
         dlogit = (_sigmoid(logit) - t) / n
-        segment_backward(dlogit, params, feats.x, feats.mask, know, cache, grads)
+        segment_backward(dlogit, params, know, cache, grads)
     for name, arr in params.tensors().items():
         if arr.ndim >= 2 and l2_weight > 0.0:
             total += l2_weight * float((arr ** 2).sum())

@@ -103,9 +103,8 @@ class TestCriterion2GradientCorrectness:
                                prototypes=rng.normal(size=(4, 8)))
         batch = []
         for target in (1.0, 0.0):
-            x = rng.normal(size=(4, 8))
-            batch.append(VideoFeatures(video_id=str(target), target=target, x=x,
-                                       mask=np.ones(4, dtype=bool)))
+            batch.append(VideoFeatures(video_id=str(target), target=target,
+                                       x=rng.normal(size=(4, 8))))
         l2 = 1e-3
         _, analytic = batch_loss_and_grads(params, batch, know, l2)
 
@@ -145,8 +144,8 @@ class TestCriterion3ReasoningFidelity:
             s, t, d = (int(rng.integers(1, 5)), int(rng.integers(1, 8)), int(rng.integers(2, 9)))
             k_v = rng.normal(size=(s, d))
             vecs = rng.normal(size=(t, d))
-            h = TokenEmbeddingSeq(vectors=vecs, mask=np.ones(t, dtype=bool))
-            got_a, got_c = slot_attention(k_v, h.vectors, h.mask)
+            h = TokenEmbeddingSeq(vectors=vecs)
+            got_a, got_c = slot_attention(k_v, h.vectors)
             a = np.zeros((s, t))
             for i in range(s):
                 for j in range(t):
@@ -197,7 +196,7 @@ class TestCriterion4CounterfactualMargins:
             kb = kb_with_embeddings(d, 2, rng)
             f = init_importance_params(d, seed=trial)
             t = int(rng.integers(1, 7))
-            h = TokenEmbeddingSeq(vectors=rng.normal(size=(t, d)), mask=np.ones(t, dtype=bool))
+            h = TokenEmbeddingSeq(vectors=rng.normal(size=(t, d)))
             v = "a" if trial % 2 else "n"
             margins = margins_of(h, kb, f, v)
             assert abs(sum(margins.values())) <= 1e-9
@@ -298,8 +297,8 @@ class TestCriterion6DeterminismAndRoundTrips:
 class TestCriterion7HandCheckFixtures:
     def test_pinned_hand_values(self):
         # Scaled slot-attention example in one dimension.
-        h = TokenEmbeddingSeq(vectors=np.array([[1.0], [3.0]]), mask=np.ones(2, dtype=bool))
-        a, c = slot_attention(np.array([[2.0]]), h.vectors, h.mask)
+        h = TokenEmbeddingSeq(vectors=np.array([[1.0], [3.0]]))
+        a, c = slot_attention(np.array([[2.0]]), h.vectors)
         assert np.array_equal(a, np.array([[2.0, 6.0]]))
         assert np.array_equal(c, np.array([[20.0]]))
 

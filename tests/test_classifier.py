@@ -113,7 +113,7 @@ class TestFuseClassify:
         params.b_v = p_v
         d = params.config.d_model
         know = KnowledgeInputs(mean_embedding=np.ones(d), prototypes=np.ones((4, d)))
-        logits, cache = _head_forward(params, p_d[None, None, :], np.ones((1, 1), dtype=bool), know)
+        logits, cache = _head_forward(params, p_d[None, None, :], know)
         assert logits.shape == (1,)
         assert np.array_equal(cache.p_d, p_d[None, :]) and np.array_equal(cache.p_v, p_v)
         return logits[0]
@@ -147,7 +147,7 @@ class TestFuseClassify:
         logit = sum(params.fuse_w[i] * p_d[i] for i in range(4))
         logit += sum(params.fuse_w[4 + i] * p_v[i] for i in range(4))
         logit += params.fuse_b[0]
-        got, _ = _head_forward(params, h[None], np.ones((1, 3), dtype=bool), know)
+        got, _ = _head_forward(params, h[None], know)
         got = got[0]
         assert abs(got - logit) <= 1e-12
         assert abs(_sigmoid(got) - 1.0 / (1.0 + math.exp(-logit))) <= 1e-12
@@ -155,8 +155,7 @@ class TestFuseClassify:
     def test_dimension_mismatch_rejected(self):
         params = self.params_with(3, np.zeros(6), np.zeros(1))
         know = KnowledgeInputs(mean_embedding=np.zeros(3), prototypes=np.zeros((4, 3)))
-        feats = VideoFeatures(video_id="v", target=1.0, x=np.ones((2, 2)),
-                              mask=np.ones(2, dtype=bool))
+        feats = VideoFeatures(video_id="v", target=1.0, x=np.ones((2, 2)))
         with pytest.raises(ValidationError, match="d_model"):
             batch_loss_and_grads(params, [feats], know, l2_weight=0.0)
 
@@ -275,7 +274,7 @@ class TestTraining:
         know = KnowledgeInputs(mean_embedding=rng.normal(size=64),
                                prototypes=rng.normal(size=(len(tiny_kb.aspects), 64)))
         batch = [VideoFeatures(video_id=f"v{i}", target=float(i % 2),
-                               x=rng.normal(size=(8, 64)), mask=np.ones(8, dtype=bool))
+                               x=rng.normal(size=(8, 64)))
                  for i in range(16)]
         batch_loss_and_grads(params, batch, know, 1e-3)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -298,7 +297,7 @@ class TestTraining:
         know = KnowledgeInputs(mean_embedding=rng.normal(size=64),
                                prototypes=rng.normal(size=(len(tiny_kb.aspects), 64)))
         batch = [VideoFeatures(video_id=f"v{i}", target=float(i % 2),
-                               x=rng.normal(size=(8, 64)), mask=np.ones(8, dtype=bool))
+                               x=rng.normal(size=(8, 64)))
                  for i in range(16)]
         tracemalloc.start()
         try:
@@ -561,14 +560,6 @@ class TestBatchedStepOracle:
         assert len({f.x.shape[0] for f in batch}) == 3
         self.assert_matches_reference(params, batch, knowledge_inputs(tiny_kb))
 
-    def test_partially_masked_segment(self, tiny_kb):
-        params = self.params_for(tiny_kb)
-        batch = [video_features(v, EMB, 4) for v in self.varied_videos([4, 4, 4, 4])]
-        for feats, masked in zip(batch[1:3], ([1, 2], [0])):
-            feats.mask[masked] = False
-            feats.x[~feats.mask] = 0.0
-        self.assert_matches_reference(params, batch, knowledge_inputs(tiny_kb))
-
     def test_zero_layers(self, tiny_kb):
         params = self.params_for(tiny_kb, num_layers=0)
         batch = [video_features(v, EMB, 4) for v in self.varied_videos([4, 2, 4, 3])]
@@ -596,8 +587,6 @@ class TestHeadMatchesExplainPath:
         params = TestBatchedStepOracle.params_for(tiny_kb)
         batch = [video_features(v, EMB, 4)
                  for v in TestBatchedStepOracle.varied_videos([4, 2, 4, 3])]
-        batch[2].mask[1] = False
-        batch[2].x[1] = 0.0
         know = knowledge_inputs(tiny_kb)
         assert np.array_equal(know.prototypes, class_agnostic_prototypes(tiny_kb))
         for inputs in (know, distinct_prototypes(know)):
@@ -606,13 +595,11 @@ class TestHeadMatchesExplainPath:
             protos = inputs.prototypes
             for segment in fwd.segments:
                 head, b = fwd.heads[segment.group], segment.row
-                h, mask, a, c, w = head.h[b], head.mask[b], head.a[b], head.c[b], head.w[b]
-                att_a, att_c = slot_attention(protos, h, mask)
+                h, a, c, w = head.h[b], head.a[b], head.c[b], head.w[b]
+                att_a, att_c = slot_attention(protos, h)
                 imp_w = slot_importance(att_c, protos, params.importance)
                 assert np.array_equal(att_a, a) and np.array_equal(att_c, c)
                 assert np.array_equal(imp_w, w)
-            masked = fwd.segments[2]
-            assert not fwd.heads[masked.group].mask[masked.row].all()
         assert np.ptp(w) > 0
 
 
@@ -650,10 +637,10 @@ class TestBatchedScoringOracle:
         params = TestBatchedStepOracle.params_for(tiny_kb, k_frames=5)
         videos = self.corpus(n=20).videos
         batched = predict_videos(videos, tiny_kb, params, EMB)
-        for video, (y, p_d, h, mask) in zip(videos, batched):
+        for video, (y, p_d, h) in zip(videos, batched):
             y1, p_d1, h_d1 = predict_video(video, tiny_kb, params, EMB)
             assert y == y1 and np.array_equal(p_d, p_d1)
-            assert np.array_equal(h, h_d1.vectors) and np.array_equal(mask, h_d1.mask)
+            assert np.array_equal(h, h_d1.vectors)
             assert h.shape[0] == min(5, len(video.captions))
 
     def test_cold_remote_score_fetches_distinct_tokens_once(self, tmp_path):
@@ -698,9 +685,8 @@ class TestFullGradientCheck:
         # and the grouped encoder passes interleave in batch order.
         batch = []
         for target, t in ((1.0, 4), (1.0, 3), (0.0, 4)):
-            x = rng.normal(size=(t, 8))
-            mask = np.ones(t, dtype=bool)
-            batch.append(VideoFeatures(video_id=f"v{len(batch)}", target=target, x=x, mask=mask))
+            batch.append(VideoFeatures(video_id=f"v{len(batch)}", target=target,
+                                       x=rng.normal(size=(t, 8))))
 
         l2 = 1e-3
         _, analytic = batch_loss_and_grads(params, batch, know, l2)

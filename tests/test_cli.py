@@ -166,6 +166,13 @@ class TestGenSynth:
         assert code == 1
         assert "--out" in err
 
+    def test_run_log_lists_every_file_written(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        assert main(["gen-synth", "--config", cli_config(tmp_path), "--out", str(data)]) == 0
+        written = {str(path) for path in data.iterdir()
+                   if path.name not in ("runs.log", ".tbvad.lock")}
+        assert sorted(last_run_log(data)["outputs"]) == sorted(written)
+
 
 class TestValidation:
     def test_train_missing_knowledge_names_flag(self, workspace, capsys):
@@ -230,6 +237,27 @@ class TestValidation:
         code, _, err = run_cli(capsys, "caption-stats", "--captions",
                                str(tmp_path / "nope.jsonl"))
         assert code == 1
+
+    @pytest.mark.parametrize("command, flag, kind", [
+        ("eval", "--knowledge", "missing"), ("eval", "--model", "missing"),
+        ("eval", "--captions", "directory"), ("eval", "--knowledge", "directory"),
+        ("eval", "--model", "directory"), ("eval", "--config", "directory"),
+        ("ablate", "--combos", "directory"),
+    ])
+    def test_input_that_is_missing_or_not_a_file_is_one_error_line(self, workspace, tmp_path,
+                                                                  capsys, command, flag, kind):
+        data = workspace["data"]
+        flags = {"--config": workspace["cfg"], "--captions": str(data / "test.jsonl")}
+        if command == "eval":
+            flags.update({"--knowledge": str(workspace["kb"]), "--model": str(workspace["model"])})
+        else:
+            flags.update({"--test-captions": str(data / "test.jsonl"), "--combos": "table3",
+                          "--out": str(tmp_path / "ab.csv")})
+        flags[flag] = str(tmp_path / "nope") if kind == "missing" else str(tmp_path)
+        code, _, err = run_cli(capsys, command, *(a for item in flags.items() for a in item))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert ("caption file" if flag == "--captions" else flag) in err
 
     def test_captions_file_that_is_not_utf8_rejected(self, tmp_path, capsys):
         good = json.dumps({"video_id": "v", "frame_index": 0, "label": "normal", "text": "A cat."})
@@ -480,7 +508,7 @@ class TestEvalExplain:
             y, _, h_d = predict_video(video, kb, model, _embedder_configs(cfg)[0])
             w = {}
             for v in CLASSES:
-                _, c = slot_attention(kb.prototypes[v], h_d.vectors, h_d.mask)
+                _, c = slot_attention(kb.prototypes[v], h_d.vectors)
                 w[v] = slot_importance(c, kb.prototypes[v], model.importance)
             ours, other = ("a", "n") if y >= 0.5 else ("n", "a")
             assert record["slot_weights"] == {aspect: float(w[ours][i])
@@ -824,6 +852,20 @@ class TestDeterminism:
         assert code == 2
         assert "locked" in err
         assert not (data / "train.jsonl").exists()
+
+    @needs_flock
+    def test_commands_that_write_no_file_take_no_lock(self, workspace, capsys):
+        inputs = ["--config", workspace["cfg"], "--captions", str(workspace["data"] / "test.jsonl"),
+                  "--knowledge", str(workspace["kb"]), "--model", str(workspace["model"])]
+        vid = load_captions(workspace["data"] / "test.jsonl").videos[0].video_id
+        with open(".tbvad.lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            code, _, err = run_cli(capsys, "eval", *inputs)
+            assert code == 0, err
+            code, _, err = run_cli(capsys, "explain", *inputs, "--video-id", vid)
+            assert code == 0, err
+        lines = Path("runs.log").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["command"] for line in lines] == ["eval", "explain"]
 
     @needs_flock
     def test_lock_of_a_process_that_is_gone_is_taken_over(self, tmp_path, capsys):

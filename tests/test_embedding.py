@@ -62,7 +62,6 @@ class TestHashEmbedder:
         a = embed_tokens("a man runs across the street", HASH64)
         b = embed_tokens("a man runs across the street", HASH64)
         assert np.array_equal(a.vectors, b.vectors)
-        assert np.array_equal(a.mask, b.mask)
 
     def test_truncation_to_max_tokens(self):
         text = " ".join(f"tok{i}" for i in range(600))
@@ -235,28 +234,18 @@ class TestEmbedCaptions:
 
 class TestMeanPool:
     def test_hand_mean(self):
-        seq = TokenEmbeddingSeq(vectors=np.array([[1.0, 3.0], [3.0, 5.0]]), mask=np.array([True, True]))
+        seq = TokenEmbeddingSeq(vectors=np.array([[1.0, 3.0], [3.0, 5.0]]))
         assert np.array_equal(mean_pool(seq), np.array([2.0, 4.0]))
 
     def test_single_row_identity(self):
         v = np.array([[0.5, -1.5, 2.0]])
-        seq = TokenEmbeddingSeq(vectors=v, mask=np.array([True]))
+        seq = TokenEmbeddingSeq(vectors=v)
         assert np.array_equal(mean_pool(seq), v[0])
-
-    def test_masked_rows_excluded(self):
-        vectors = np.array([[2.0, 2.0], [0.0, 0.0], [4.0, 6.0]])
-        seq = TokenEmbeddingSeq(vectors=vectors, mask=np.array([True, False, True]))
-        assert np.array_equal(mean_pool(seq), np.array([3.0, 4.0]))
-
-    def test_all_masked_rejected(self):
-        seq = TokenEmbeddingSeq(vectors=np.zeros((2, 3)), mask=np.array([False, False]))
-        with pytest.raises(ValidationError, match="masked"):
-            mean_pool(seq)
 
     def test_matches_sum_divide_oracle(self):
         rng = np.random.default_rng(0)
         vectors = rng.normal(size=(5, 8))
-        seq = TokenEmbeddingSeq(vectors=vectors, mask=np.ones(5, dtype=bool))
+        seq = TokenEmbeddingSeq(vectors=vectors)
         oracle = np.zeros(8)
         for row in vectors:
             oracle += row
@@ -266,9 +255,9 @@ class TestMeanPool:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
         vectors = rng.normal(size=(6, 4))
-        seq = TokenEmbeddingSeq(vectors=vectors, mask=np.ones(6, dtype=bool))
+        seq = TokenEmbeddingSeq(vectors=vectors)
         perm = rng.permutation(6)
-        seq_p = TokenEmbeddingSeq(vectors=vectors[perm], mask=np.ones(6, dtype=bool))
+        seq_p = TokenEmbeddingSeq(vectors=vectors[perm])
         assert np.allclose(mean_pool(seq), mean_pool(seq_p))
 
 
@@ -304,14 +293,10 @@ class TestCosineSimilarity:
 
 
 class TestTokenEmbeddingSeq:
-    def test_masked_rows_must_be_zero(self):
-        with pytest.raises(ValidationError, match="all-zero"):
-            TokenEmbeddingSeq(vectors=np.ones((2, 3)), mask=np.array([True, False]))
-
     def test_non_finite_rejected(self):
         bad = np.array([[1.0, np.inf]])
         with pytest.raises(ValidationError):
-            TokenEmbeddingSeq(vectors=bad, mask=np.array([True]))
+            TokenEmbeddingSeq(vectors=bad)
 
 
 class TestRemoteEmbedder:

@@ -162,7 +162,7 @@ class TestGelu:
         assert not np.array_equal(np.tanh(k * (x + c * np.power(x, 3))), tanh_term)
 
 
-def head_projection(vectors, mask, w_d, b_d):
+def head_projection(vectors, w_d, b_d):
     """P_d of the classifier head on one encoded segment, as a group of one, gate at zero."""
     d_latent, d = w_d.shape
     cfg = ModelConfig(d_model=d, num_layers=0, num_heads=1, d_ff=d, d_latent=d_latent,
@@ -170,21 +170,20 @@ def head_projection(vectors, mask, w_d, b_d):
     params = init_model_params(cfg)
     params.encoder.w_d, params.encoder.b_d = w_d, b_d
     know = KnowledgeInputs(mean_embedding=np.zeros(d), prototypes=np.ones((1, d)))
-    _, cache = _head_forward(params, np.asarray(vectors, dtype=np.float64)[None],
-                             np.asarray(mask, dtype=bool)[None], know)
+    _, cache = _head_forward(params, np.asarray(vectors, dtype=np.float64)[None], know)
     return cache.p_d[0]
 
 
 class TestProjectDescription:
-    """The head's masked mean pool and affine projection (w_d, b_d)."""
+    """The head's mean pool and affine projection (w_d, b_d)."""
 
     def test_identity_single_row(self):
         h = np.array([[1.0, -2.0, 3.0, 0.5]])
-        assert np.array_equal(head_projection(h, [True], np.eye(4), np.zeros(4)), h[0])
+        assert np.array_equal(head_projection(h, np.eye(4), np.zeros(4)), h[0])
 
     def test_hand_mean_plus_bias(self):
         h = np.array([[2.0, 0.0], [0.0, 2.0]])
-        got = head_projection(h, [True, True], np.eye(2), np.array([1.0, 1.0]))
+        got = head_projection(h, np.eye(2), np.array([1.0, 1.0]))
         assert np.array_equal(got, np.array([2.0, 2.0]))
 
     def test_matches_matvec_oracle(self):
@@ -197,7 +196,7 @@ class TestProjectDescription:
             for j in range(6):
                 oracle[i] += params.w_d[i, j] * pooled[j]
             oracle[i] += params.b_d[i]
-        got = head_projection(h, [True] * 4, params.w_d, params.b_d)
+        got = head_projection(h, params.w_d, params.b_d)
         assert np.max(np.abs(got - oracle)) <= 1e-10
 
     def test_all_masked_rejected(self):
@@ -206,11 +205,6 @@ class TestProjectDescription:
         params = init_encoder_params(num_layers=0, num_heads=1, d_model=2, d_latent=2, seed=0)
         with pytest.raises(ValidationError, match="unmasked"):
             encoder_forward(np.zeros((1, 2, 2)), np.zeros((1, 2), dtype=bool), params)
-
-    def test_masked_rows_excluded_from_pool(self):
-        h = np.array([[4.0, 4.0], [0.0, 0.0]])
-        got = head_projection(h, [True, False], np.eye(2), np.zeros(2))
-        assert np.array_equal(got, np.array([4.0, 4.0]))
 
 
 def relative_gradient_errors(analytic: dict, numeric: dict):

@@ -34,11 +34,8 @@ from stubs import StubService
 GOLDEN = Path(__file__).parent / "data" / "explanation_golden.txt"
 
 
-def seq(vectors, mask=None):
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if mask is None:
-        mask = np.ones(vectors.shape[0], dtype=bool)
-    return TokenEmbeddingSeq(vectors=vectors, mask=np.asarray(mask, dtype=bool))
+def seq(vectors):
+    return TokenEmbeddingSeq(vectors=np.asarray(vectors, dtype=np.float64))
 
 
 def kb_with_embeddings(d, sentence_counts, rng, aspects=ASPECTS):
@@ -63,27 +60,27 @@ def kb_with_embeddings(d, sentence_counts, rng, aspects=ASPECTS):
 def margins_of(h, kb, f, predicted_v):
     """Explain's margins: both classes' prototypes stacked and scored in one pass."""
     protos = np.stack([kb.prototypes[v] for v in CLASSES])
-    _, c = slot_attention(protos, h.vectors, h.mask)
+    _, c = slot_attention(protos, h.vectors)
     return counterfactual_margins(slot_importance(c, protos, f), predicted_v, kb.aspects)
 
 
 class TestSlotAttention:
     def test_hand_arithmetic_d1(self):
         h = seq(np.array([[1.0], [3.0]]))
-        a, c = slot_attention(np.array([[2.0]]), h.vectors, h.mask)
+        a, c = slot_attention(np.array([[2.0]]), h.vectors)
         assert np.array_equal(a, np.array([[2.0, 6.0]]))
         assert np.array_equal(c, np.array([[20.0]]))
 
     def test_zero_prototypes(self):
         h = seq(np.random.default_rng(0).normal(size=(5, 4)))
-        a, c = slot_attention(np.zeros((3, 4)), h.vectors, h.mask)
+        a, c = slot_attention(np.zeros((3, 4)), h.vectors)
         assert np.all(a == 0.0) and np.all(c == 0.0)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(1)
         k_v = rng.normal(size=(4, 8))
         h = seq(rng.normal(size=(6, 8)))
-        got_a, got_c = slot_attention(k_v, h.vectors, h.mask)
+        got_a, got_c = slot_attention(k_v, h.vectors)
         a = np.zeros((4, 6))
         for s in range(4):
             for t in range(6):
@@ -98,20 +95,12 @@ class TestSlotAttention:
         assert np.max(np.abs(got_a - a)) <= 1e-10
         assert np.max(np.abs(got_c - c)) <= 1e-10
 
-    def test_masked_columns_zeroed(self):
-        rng = np.random.default_rng(2)
-        vecs = rng.normal(size=(4, 3))
-        vecs[2] = 0.0
-        h = seq(vecs, mask=[True, True, False, True])
-        a, _ = slot_attention(rng.normal(size=(2, 3)), h.vectors, h.mask)
-        assert np.all(a[:, 2] == 0.0)
-
     def test_linear_in_prototypes(self):
         rng = np.random.default_rng(3)
         k_v = rng.normal(size=(4, 5))
         h = seq(rng.normal(size=(7, 5)))
-        one, _ = slot_attention(k_v, h.vectors, h.mask)
-        scaled, _ = slot_attention(2.5 * k_v, h.vectors, h.mask)
+        one, _ = slot_attention(k_v, h.vectors)
+        scaled, _ = slot_attention(2.5 * k_v, h.vectors)
         assert np.max(np.abs(scaled - 2.5 * one)) <= 1e-12
 
 
@@ -176,16 +165,13 @@ class TestStackedSlices:
         f = init_importance_params(d, seed=11)
         k_v = rng.normal(size=(s, d))
         h = rng.normal(size=(b, t, d))
-        mask = np.ones((b, t), dtype=bool)
-        mask[1, 3:] = False
-        h[1, 3:] = 0.0
         dz = rng.normal(size=(b, s))
-        a, c = slot_attention(k_v, h, mask)
+        a, c = slot_attention(k_v, h)
         z, cache = importance_forward(c, k_v, f)
         w = softmax(z)
         dc, grads, dpre = importance_backward(dz, cache, f)
         for i in range(b):
-            a1, c1 = slot_attention(k_v, h[i], mask[i])
+            a1, c1 = slot_attention(k_v, h[i])
             z1, cache1 = importance_forward(c1, k_v, f)
             dc1, grads1, dpre1 = importance_backward(dz[i], cache1, f)
             assert np.array_equal(a[i], a1) and np.array_equal(c[i], c1)
@@ -198,24 +184,21 @@ class TestStackedSlices:
 
     @pytest.mark.parametrize("d", [1, 3, 16, 64])
     @settings(max_examples=40, deadline=None)
-    @given(s=st.integers(1, 4), mask=st.lists(st.booleans(), min_size=1, max_size=8),
-           seed=st.integers(0, 2**32 - 1))
-    def test_each_class_row_equals_its_own_call(self, d, s, mask, seed):
+    @given(s=st.integers(1, 4), t=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_each_class_row_equals_its_own_call(self, d, s, t, seed):
         # Explain scores a (2, S, d) stack of both classes' prototypes.
         rng = np.random.default_rng(seed)
-        mask = np.array(mask)
-        mask[rng.integers(len(mask))] = True
 
         def spread(*shape):  # magnitudes from 1e-3 to 1e3
             return rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
 
-        h = spread(len(mask), d) * mask[:, None]
+        h = spread(t, d)
         protos = spread(2, s, d)
         f = init_importance_params(d, seed=seed)
-        a, c = slot_attention(protos, h, mask)
+        a, c = slot_attention(protos, h)
         w = slot_importance(c, protos, f)
         for i in range(2):
-            a1, c1 = slot_attention(protos[i], h, mask)
+            a1, c1 = slot_attention(protos[i], h)
             assert np.array_equal(a[i], a1) and np.array_equal(c[i], c1)
             assert np.array_equal(w[i], slot_importance(c1, protos[i], f))
 
