@@ -35,7 +35,7 @@ except ImportError:  # Not POSIX: see _output_lock.
 
 from .classifier import TrainConfig, load_model, model_digest, predict_video, save_model, train
 from .corpus import CHECKED_MARKERS, CaptionCorpus, group_by_class, load_captions, read_caption_file
-from .embedding import KNOWLEDGE_MAX_TOKENS, EmbedderConfig, mean_pool
+from .embedding import EmbedderConfig, mean_pool
 from .errors import TbvadError, ValidationError
 from .evaluation import (
     MetricsReport,
@@ -79,10 +79,7 @@ CONFIG_SCHEMA = {
     "k_frames": int,
     "topk": int,
     "aspects": list,
-    "embedder": {
-        "d": int, "max_tokens": int, "knowledge_max_tokens": int,
-        "cache_dir": str, "max_parallel": int,
-    },
+    "embedder": {"d": int, "cache_dir": str, "max_parallel": int},
     "encoder": {"num_layers": int, "num_heads": int, "d_latent": int, "ff_multiple": int},
     "train": {"learning_rate": float, "epochs": int, "batch_size": int, "l2_weight": float},
     "endpoints": {"embed": str, "generate": str},
@@ -101,9 +98,7 @@ DEFAULT_CONFIG = {
     "k_frames": TrainConfig.k_frames,
     "topk": 2,
     "aspects": list(ASPECTS),
-    "embedder": {"d": EmbedderConfig.d, "max_tokens": EmbedderConfig.max_tokens,
-                 "knowledge_max_tokens": KNOWLEDGE_MAX_TOKENS,
-                 "max_parallel": EmbedderConfig.max_parallel},
+    "embedder": {"d": EmbedderConfig.d, "max_parallel": EmbedderConfig.max_parallel},
     "encoder": {key: getattr(TrainConfig, key) for key in CONFIG_SCHEMA["encoder"]},
     "train": {key: getattr(TrainConfig, key) for key in CONFIG_SCHEMA["train"]},
     "endpoints": {},
@@ -171,16 +166,12 @@ def _cache_dir(cfg: dict) -> str | None:
     return str(cache_dir) if cache_dir else None
 
 
-def _embedder_configs(cfg: dict) -> tuple[EmbedderConfig, EmbedderConfig]:
-    """The description and knowledge embedders: remote when an embed endpoint is set."""
-    emb_cfg = cfg["embedder"]
+def _embedder_config(cfg: dict) -> EmbedderConfig:
+    """The run's one embedder, for captions and knowledge: remote when an embed endpoint is set."""
     endpoint = cfg["endpoints"].get("embed")
-    common = dict(backend="remote" if endpoint else "hash", d=emb_cfg["d"], endpoint=endpoint,
-                  cache_dir=_cache_dir(cfg), seed=cfg["seed"],
-                  max_parallel=emb_cfg["max_parallel"])
-    desc = EmbedderConfig(max_tokens=emb_cfg["max_tokens"], **common)
-    know = EmbedderConfig(max_tokens=emb_cfg["knowledge_max_tokens"], **common)
-    return desc, know
+    return EmbedderConfig(backend="remote" if endpoint else "hash", d=cfg["embedder"]["d"],
+                          endpoint=endpoint, cache_dir=_cache_dir(cfg), seed=cfg["seed"],
+                          max_parallel=cfg["embedder"]["max_parallel"])
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -188,8 +179,7 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 
 def _pipeline_config(cfg: dict, summarizer=None, prompts=None) -> PipelineConfig:
-    desc, know = _embedder_configs(cfg)
-    return PipelineConfig(emb=desc, know_emb=know, train=_train_config(cfg),
+    return PipelineConfig(emb=_embedder_config(cfg), train=_train_config(cfg),
                           aspects=validate_aspects(cfg["aspects"]),
                           prompts=prompts, summarizer=summarizer)
 
@@ -310,7 +300,7 @@ def _metric_filter(report: MetricsReport, metric: str | None) -> MetricsReport:
         for name in keep:
             setattr(report, name, None)
         if getattr(report, metric) is None:
-            raise TbvadError(f"metric {metric!r} is undefined for this corpus")
+            raise ValidationError(f"metric {metric!r} is undefined for this corpus")
     return report
 
 
@@ -345,8 +335,7 @@ def cmd_build_knowledge(args) -> int:
     _require(args, "captions", "out")
     corpus, captions_sha = load_hashed_captions(args.captions, _cache_dir(cfg))
     d_n, d_a = group_by_class(corpus)
-    _, know_emb = _embedder_configs(cfg)
-    kb = build_knowledge(d_n, d_a, _prompts(cfg), know_emb,
+    kb = build_knowledge(d_n, d_a, _prompts(cfg), _embedder_config(cfg),
                          backend=_summarizer(cfg, args),
                          active_aspects=cfg["aspects"])
     out_path = Path(args.out)
@@ -375,10 +364,8 @@ def _read_hashed(path, flag: str) -> tuple[bytes, str]:
 
 def _load_kb(args, cfg: dict):
     """The knowledge base and the SHA-256 of the very bytes it was parsed from."""
-    _, know = _embedder_configs(cfg)
     data, sha = _read_hashed(args.knowledge, "knowledge")
-    kb = load_knowledge(args.knowledge, endpoint=know.endpoint, cache_dir=know.cache_dir,
-                        max_tokens=know.max_tokens, max_parallel=know.max_parallel, data=data)
+    kb = load_knowledge(args.knowledge, _embedder_config(cfg), data=data)
     return kb, sha
 
 
@@ -387,8 +374,7 @@ def cmd_train(args) -> int:
     _require(args, "captions", "knowledge", "out")
     corpus, captions_sha = load_hashed_captions(args.captions, _cache_dir(cfg))
     kb, knowledge_sha = _load_kb(args, cfg)
-    desc_emb, _ = _embedder_configs(cfg)
-    model = train(corpus, kb, _train_config(cfg), desc_emb)
+    model = train(corpus, kb, _train_config(cfg), _embedder_config(cfg))
     out_path = Path(args.out)
     with _guarded(out_path.parent, "train", cfg,
                   {"captions": captions_sha, "knowledge": knowledge_sha}, [str(out_path)]):
@@ -405,8 +391,7 @@ def cmd_eval(args) -> int:
     kb, knowledge_sha = _load_kb(args, cfg)
     data, model_sha = _read_hashed(args.model, "model")
     model = load_model(args.model, data=data)
-    desc_emb, _ = _embedder_configs(cfg)
-    report = evaluate_model(corpus, kb, model, desc_emb, digest=config_digest(cfg))
+    report = evaluate_model(corpus, kb, model, _embedder_config(cfg), digest=config_digest(cfg))
     report = _metric_filter(report, getattr(args, "metric", None))
     out_dir, outputs = _optional_out(args)
     with _guarded(out_dir, "eval", cfg,
@@ -425,9 +410,8 @@ def cmd_explain(args) -> int:
     kb, knowledge_sha = _load_kb(args, cfg)
     data, model_sha = _read_hashed(args.model, "model")
     model = load_model(args.model, data=data)
-    desc_emb, _ = _embedder_configs(cfg)
 
-    y, _, h_d = predict_video(video, kb, model, desc_emb)
+    y, _, h_d = predict_video(video, kb, model, _embedder_config(cfg))
     predicted_v = "a" if y >= 0.5 else "n"
     # Both classes' prototypes in one (2, S, d) stack; row i is CLASSES[i].
     protos = np.stack([kb.prototypes[v] for v in CLASSES])
@@ -493,10 +477,11 @@ def cmd_ablate(args) -> int:
 def cmd_caption_stats(args) -> int:
     cfg = resolve_config(args)
     _require(args, "captions")
-    corpus = load_captions(args.captions)
+    corpus, captions_sha = load_hashed_captions(args.captions, _cache_dir(cfg))
     avg_len, tfidf = caption_stats(corpus)
-    _emit({"avg_len": avg_len, "tfidf": tfidf, "n_videos": len(corpus),
-           "n_captions": sum(len(v.captions) for v in corpus.videos)})
+    with _guarded(Path("."), "caption-stats", cfg, {"captions": captions_sha}, []):
+        _emit({"avg_len": avg_len, "tfidf": tfidf, "n_videos": len(corpus),
+               "n_captions": sum(len(v.captions) for v in corpus.videos)})
     return 0
 
 

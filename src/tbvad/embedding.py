@@ -45,7 +45,8 @@ from .remote import VectorCache, default_cache_dir, post_json
 logger = logging.getLogger(__name__)
 
 MAX_BATCH_TEXTS = 64
-KNOWLEDGE_MAX_TOKENS = 4096
+# Tokens kept per text, caption or knowledge; bounds embed_captions' position loop.
+MAX_TOKENS = 4096
 
 
 class _TokenChars(dict):
@@ -76,15 +77,13 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class EmbedderConfig:
-    """Settings for one embedding role (descriptions or knowledge).
+    """Settings of the one embedder that captions and knowledge share.
 
-    ``max_tokens`` encodes the per-role token budget (512 for descriptions,
-    KNOWLEDGE_MAX_TOKENS for knowledge).  The remote backend requires ``endpoint``.
+    The remote backend requires ``endpoint``.
     """
 
     backend: str = "hash"
     d: int = 64
-    max_tokens: int = 512
     endpoint: str | None = None
     cache_dir: str | None = None
     seed: int = 0
@@ -95,8 +94,6 @@ class EmbedderConfig:
             raise ValidationError(f"unknown embedder backend {self.backend!r}")
         if self.d < 1:
             raise ValidationError(f"embedding dim must be positive, got {self.d}")
-        if self.max_tokens < 1:
-            raise ValidationError(f"max_tokens must be positive, got {self.max_tokens}")
         if self.max_parallel < 1:
             raise ValidationError(f"max_parallel must be positive, got {self.max_parallel}")
         if self.backend == "remote" and not self.endpoint:
@@ -151,7 +148,7 @@ class _TokenEmbedder:
         self._token_cache: dict[str, np.ndarray] = {}
 
     def _tokens(self, text: str) -> list[str]:
-        tokens = tokenize(text)[: self.cfg.max_tokens]
+        tokens = tokenize(text)[:MAX_TOKENS]
         if not tokens:
             raise ValidationError(f"text has no tokens to embed: {text!r}")
         return tokens
@@ -305,7 +302,7 @@ def make_embedder(cfg: EmbedderConfig, cache: VectorCache | None = None) -> Hash
 
 
 def embed_tokens(text: str, cfg: EmbedderConfig) -> TokenEmbeddingSeq:
-    """Embed a text into a T x d token-embedding sequence (T <= cfg.max_tokens)."""
+    """Embed a text into a T x d token-embedding sequence (T <= MAX_TOKENS)."""
     return make_embedder(cfg).embed_tokens(text)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 # (perfbench/spans.py) wraps it under this module's name, so it stays bound.
 from .classifier import TrainConfig, predict_video, predict_videos, train  # noqa: F401
 from .corpus import CaptionCorpus, group_by_class
-from .embedding import KNOWLEDGE_MAX_TOKENS, EmbedderConfig, tokenize
+from .embedding import EmbedderConfig, tokenize
 from .errors import TbvadError, ValidationError
 from .knowledge import ASPECTS, build_knowledge, default_prompts, validate_aspects
 
@@ -217,7 +217,6 @@ class PipelineConfig:
     """Everything needed to build knowledge and train a model on one corpus."""
 
     emb: EmbedderConfig
-    know_emb: EmbedderConfig
     train: TrainConfig
     aspects: tuple[str, ...] = ASPECTS
     prompts: dict | None = None
@@ -226,7 +225,6 @@ class PipelineConfig:
     def digest(self) -> str:
         return config_digest({
             "emb": dataclasses.asdict(self.emb),
-            "know_emb": dataclasses.asdict(self.know_emb),
             "train": dataclasses.asdict(self.train),
             "aspects": list(self.aspects),
         })
@@ -234,12 +232,10 @@ class PipelineConfig:
 
 def make_pipeline_config(d: int = EmbedderConfig.d, seed: int = 0, aspects=None,
                          **train_overrides) -> PipelineConfig:
-    """Desk-scale defaults with the hash embedder shared across both roles."""
-    emb = EmbedderConfig(d=d, seed=seed)
+    """Desk-scale defaults with one hash embedder for captions and knowledge."""
     train_overrides.setdefault("seed", seed)
     return PipelineConfig(
-        emb=emb, know_emb=dataclasses.replace(emb, max_tokens=KNOWLEDGE_MAX_TOKENS),
-        train=TrainConfig(**train_overrides),
+        emb=EmbedderConfig(d=d, seed=seed), train=TrainConfig(**train_overrides),
         aspects=validate_aspects(aspects) if aspects else ASPECTS,
     )
 
@@ -250,7 +246,7 @@ def run_pipeline(train_corpus: CaptionCorpus, cfg: PipelineConfig,
     active = validate_aspects(aspects) if aspects is not None else cfg.aspects
     prompts = cfg.prompts if cfg.prompts is not None else default_prompts()
     d_n, d_a = group_by_class(train_corpus)
-    kb = build_knowledge(d_n, d_a, prompts, cfg.know_emb,
+    kb = build_knowledge(d_n, d_a, prompts, cfg.emb,
                          backend=cfg.summarizer, active_aspects=active)
     train_cfg = cfg.train if seed is None else dataclasses.replace(cfg.train, seed=seed)
     model = train(train_corpus, kb, train_cfg, cfg.emb)

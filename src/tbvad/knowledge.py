@@ -16,7 +16,7 @@ import io
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CaptionCorpus, sentence_split
-from .embedding import KNOWLEDGE_MAX_TOKENS, EmbedderConfig, make_embedder, tokenize
+from .embedding import EmbedderConfig, make_embedder, tokenize
 from .errors import TbvadError, ValidationError
 from .remote import TextCache, VectorCache, default_cache_dir, post_json
 
@@ -406,14 +406,12 @@ def save_knowledge(kb: KnowledgeBase, path: str | Path) -> None:
     Path(path).write_text(kb.to_json() + "\n", encoding="utf-8")
 
 
-def load_knowledge(path: str | Path, endpoint: str | None = None, cache_dir: str | None = None,
-                   max_tokens: int = KNOWLEDGE_MAX_TOKENS,
-                   max_parallel: int = EmbedderConfig.max_parallel, *,
+def load_knowledge(path: str | Path, emb: EmbedderConfig = EmbedderConfig(), *,
                    data: bytes | None = None) -> KnowledgeBase:
     """Load a knowledge JSON file, recomputing prototypes and sentence embeddings.
 
     Embeddings are never serialized; the stored (backend, dim, seed) triple
-    plus the caller-supplied endpoint, cache and fetch settings reconstruct
+    plus ``emb``'s endpoint, cache directory and ``max_parallel`` reconstruct
     them.  A file that does not match the schema raises ValidationError.
     ``data`` is the file's bytes, already read by the caller (who may have
     hashed them); they are decoded as a text-mode read of the file would.
@@ -429,18 +427,15 @@ def load_knowledge(path: str | Path, endpoint: str | None = None, cache_dir: str
     for key in ("aspects", "classes", "embedder"):
         if key not in raw:
             raise ValidationError(f"knowledge file {path} is missing the {key!r} key")
-    emb = raw["embedder"]
+    stored = raw["embedder"]
     # type() rather than isinstance(): a JSON true or false is not a dim or seed.
-    if not (isinstance(emb, dict) and isinstance(emb.get("backend"), str)
-            and type(emb.get("dim")) is int and type(emb.get("seed")) is int):
+    if not (isinstance(stored, dict) and isinstance(stored.get("backend"), str)
+            and type(stored.get("dim")) is int and type(stored.get("seed")) is int):
         raise ValidationError(
             f"knowledge file {path}: embedder must be an object with a string backend "
-            f"and integer dim and seed, got {emb!r}"
+            f"and integer dim and seed, got {stored!r}"
         )
-    cfg = EmbedderConfig(
-        backend=emb["backend"], d=emb["dim"], seed=emb["seed"], max_tokens=max_tokens,
-        endpoint=endpoint, cache_dir=cache_dir, max_parallel=max_parallel,
-    )
+    cfg = replace(emb, backend=stored["backend"], d=stored["dim"], seed=stored["seed"])
     if not (isinstance(raw["aspects"], list) and all(isinstance(a, str) for a in raw["aspects"])):
         raise ValidationError(f"knowledge file {path}: aspects must be a list of strings")
     aspects = validate_aspects(raw["aspects"])

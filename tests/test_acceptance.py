@@ -281,9 +281,8 @@ class TestCriterion6DeterminismAndRoundTrips:
         d_n = CaptionCorpus(videos=tuple(v for v in corpus.videos if v.label == "normal"))
         d_a = CaptionCorpus(videos=tuple(v for v in corpus.videos if v.label == "abnormal"))
         with StubService() as svc:
-            emb = EmbedderConfig(backend="remote", d=8, max_tokens=4096,
-                                 endpoint=svc.endpoint, cache_dir=str(tmp_path / "cache"),
-                                 seed=0)
+            emb = EmbedderConfig(backend="remote", d=8, endpoint=svc.endpoint,
+                                 cache_dir=str(tmp_path / "cache"), seed=0)
             kb1 = build_knowledge(d_n, d_a, default_prompts(), emb)
             first = svc.request_count
             assert first > 0

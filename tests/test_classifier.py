@@ -45,8 +45,7 @@ from tbvad.reasoning import slot_attention, slot_importance
 from conftest import make_video
 from stubs import StubService
 
-EMB = EmbedderConfig(backend="hash", d=16, max_tokens=512, seed=3)
-KEMB = EmbedderConfig(backend="hash", d=16, max_tokens=4096, seed=3)
+EMB = EmbedderConfig(backend="hash", d=16, seed=3)
 
 NORMAL_TEXTS = [
     "A person walks calmly along the sidewalk with a backpack.",
@@ -78,7 +77,7 @@ def tiny_kb():
     corpus = tiny_corpus()
     d_n = CaptionCorpus(videos=tuple(v for v in corpus.videos if v.label == "normal"))
     d_a = CaptionCorpus(videos=tuple(v for v in corpus.videos if v.label == "abnormal"))
-    return build_knowledge(d_n, d_a, default_prompts(), KEMB)
+    return build_knowledge(d_n, d_a, default_prompts(), EMB)
 
 
 def quick_cfg(**overrides):
@@ -188,7 +187,7 @@ class TestTraining:
         model_cfg = ModelConfig(
             d_model=EMB.d, num_layers=cfg.num_layers, num_heads=cfg.num_heads,
             d_ff=cfg.ff_multiple * EMB.d, d_latent=cfg.d_latent,
-            knowledge_dim=KEMB.d, k_frames=cfg.k_frames, seed=cfg.seed,
+            knowledge_dim=EMB.d, k_frames=cfg.k_frames, seed=cfg.seed,
             active_aspects=tiny_kb.aspects,
         )
         init = init_model_params(model_cfg)
@@ -526,7 +525,7 @@ class TestBatchedStepOracle:
     @staticmethod
     def params_for(tiny_kb, **overrides):
         fields = dict(d_model=EMB.d, num_layers=2, num_heads=2, d_ff=2 * EMB.d, d_latent=8,
-                      knowledge_dim=KEMB.d, k_frames=4, seed=13,
+                      knowledge_dim=EMB.d, k_frames=4, seed=13,
                       active_aspects=tiny_kb.aspects)
         fields.update(overrides)
         params = init_model_params(ModelConfig(**fields))
@@ -649,7 +648,7 @@ class TestBatchedScoringOracle:
             emb = EmbedderConfig(backend="remote", d=EMB.d, endpoint=svc.endpoint,
                                  cache_dir=str(tmp_path / "cache"), seed=0)
             # The knowledge has its own cache, so every description token starts cold.
-            kb_emb = dataclasses.replace(emb, max_tokens=4096, cache_dir=str(tmp_path / "kb"))
+            kb_emb = dataclasses.replace(emb, cache_dir=str(tmp_path / "kb"))
             kb = build_knowledge(*group_by_class(tiny_corpus()), default_prompts(), kb_emb)
             params = TestBatchedStepOracle.params_for(kb)
             distinct = {t for v in corpus.videos for c in sample_evenly(v, params.config.k_frames)

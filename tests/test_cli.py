@@ -18,7 +18,7 @@ from tbvad.cli import (
     CONFIG_SCHEMA,
     DEFAULT_CONFIG,
     _deep_merge,
-    _embedder_configs,
+    _embedder_config,
     _load_kb,
     _prompts,
     _validate_config,
@@ -113,7 +113,7 @@ def cli_config(tmp_path, **overrides):
     cfg = {
         "seed": 5,
         "k_frames": 6,
-        "embedder": {"d": 32, "max_tokens": 512, "knowledge_max_tokens": 4096, "max_parallel": 2},
+        "embedder": {"d": 32, "max_parallel": 2},
         "encoder": {"num_layers": 1, "num_heads": 2, "d_latent": 16, "ff_multiple": 2},
         "train": {"learning_rate": 0.25, "epochs": 8, "batch_size": 8, "l2_weight": 1e-4},
         "synthetic": {"n_videos": 24, "test_videos": 16, "frames_per_video": 8},
@@ -191,7 +191,8 @@ class TestValidation:
         assert "not_a_key" in err
 
     @pytest.mark.parametrize("key", ["train.mil_top_k", "embedder.backend", "embedder.endpoint",
-                                     "train.freeze_importance_net"])
+                                     "train.freeze_importance_net", "embedder.max_tokens",
+                                     "embedder.knowledge_max_tokens"])
     def test_removed_config_key_rejected(self, tmp_path, capsys, key):
         section, name = key.split(".")
         bad = tmp_path / "bad.json"
@@ -280,8 +281,8 @@ class TestValidation:
         ("ablate", {}),  # with a combos file of [[["object"]]]
         ("gen-synth", {"synthetic": {"anomaly_frame_ratio": 5}}),
         ("gen-synth", {"seed": -1}),
-        ("train", {"embedder": {"d": 32, "max_tokens": 512, "max_parallel": 0}}),
-        ("train", {"embedder": {"d": 32, "max_tokens": 512, "max_parallel": -3}}),
+        ("train", {"embedder": {"d": 32, "max_parallel": 0}}),
+        ("train", {"embedder": {"d": 32, "max_parallel": -3}}),
         ("gen-synth", {"synthetic": {"normal_noise_rate": 5.0}}),
         ("gen-synth", {"synthetic": {"normal_noise_rate": -0.5}}),
     ])
@@ -356,6 +357,18 @@ class TestEvalExplain:
         assert code == 0
         report = json.loads(out)
         assert report["acc"] is not None and report["auc"] is None
+
+    def test_metric_undefined_for_the_corpus_exits_1(self, workspace, tmp_path, capsys):
+        lines = (workspace["data"] / "test.jsonl").read_text(encoding="utf-8").splitlines()
+        normal_only = tmp_path / "normal.jsonl"
+        normal_only.write_text("".join(line + "\n" for line in lines
+                                       if json.loads(line)["label"] == "normal"), encoding="utf-8")
+        code, out, err = run_cli(capsys, "eval", "--config", workspace["cfg"],
+                                 "--captions", str(normal_only),
+                                 "--knowledge", str(workspace["kb"]),
+                                 "--model", str(workspace["model"]), "--metric", "auc")
+        assert code == 1 and out == ""
+        assert err == "error: metric 'auc' is undefined for this corpus\n"
 
     def test_explain_emits_record(self, workspace, capsys):
         from tbvad.corpus import load_captions
@@ -459,7 +472,7 @@ class TestEvalExplain:
             flags = ["--config", workspace["cfg"], "--seed", "6"]
             ours, theirs = "seed 6 does not match", "'s 5 "
         else:
-            embedder = {"d": 16, "max_tokens": 512, "knowledge_max_tokens": 4096}
+            embedder = {"d": 16}
             flags = ["--config", cli_config(tmp_path, embedder=embedder)]
             ours, theirs = "d 16 does not match", "'s 32 "
         if command == "explain":
@@ -505,7 +518,7 @@ class TestEvalExplain:
                                    "--video-id", video.video_id, "--counterfactual")
             assert code == 0
             record = json.loads(out)
-            y, _, h_d = predict_video(video, kb, model, _embedder_configs(cfg)[0])
+            y, _, h_d = predict_video(video, kb, model, _embedder_config(cfg))
             w = {}
             for v in CLASSES:
                 _, c = slot_attention(kb.prototypes[v], h_d.vectors)
@@ -519,7 +532,7 @@ class TestEvalExplain:
         assert labels == {"normal", "abnormal"}
 
     def test_knowledge_load_uses_configured_max_parallel(self, workspace, tmp_path):
-        cfg = cli_config(tmp_path, embedder={"d": 32, "max_tokens": 512, "max_parallel": 3})
+        cfg = cli_config(tmp_path, embedder={"d": 32, "max_parallel": 3})
         args = argparse.Namespace(config=cfg, knowledge=str(workspace["kb"]))
         assert _load_kb(args, resolve_config(args))[0].embedder.max_parallel == 3
 
@@ -556,7 +569,7 @@ class TestEvalExplain:
 
         with StubService(embed_fn=embed) as svc:
             cfg = cli_config(tmp_path, endpoints={"embed": svc.endpoint},
-                             embedder={"d": 16, "max_tokens": 512, "cache_dir": str(tmp_path / "cache")})
+                             embedder={"d": 16, "cache_dir": str(tmp_path / "cache")})
             data, kb, model = tmp_path / "data", tmp_path / "kb.json", tmp_path / "model.tbvm"
             assert main(["gen-synth", "--config", cfg, "--out", str(data)]) == 0
             assert main(["build-knowledge", "--config", cfg, "--captions", str(data / "train.jsonl"),
@@ -577,7 +590,7 @@ class TestEvalExplain:
         cache = tmp_path / "cache"
         with StubService(embed_fn=float32_vector) as svc:
             cfg = cli_config(tmp_path, endpoints={"embed": svc.endpoint},
-                             embedder={"d": 16, "max_tokens": 512, "cache_dir": str(cache)})
+                             embedder={"d": 16, "cache_dir": str(cache)})
             data, kb, model = tmp_path / "data", tmp_path / "kb.json", tmp_path / "model.tbvm"
             test = str(data / "test.jsonl")
             assert main(["gen-synth", "--config", cfg, "--out", str(data)]) == 0
@@ -855,17 +868,23 @@ class TestDeterminism:
 
     @needs_flock
     def test_commands_that_write_no_file_take_no_lock(self, workspace, capsys):
-        inputs = ["--config", workspace["cfg"], "--captions", str(workspace["data"] / "test.jsonl"),
+        test_jsonl = workspace["data"] / "test.jsonl"
+        inputs = ["--config", workspace["cfg"], "--captions", str(test_jsonl),
                   "--knowledge", str(workspace["kb"]), "--model", str(workspace["model"])]
-        vid = load_captions(workspace["data"] / "test.jsonl").videos[0].video_id
+        vid = load_captions(test_jsonl).videos[0].video_id
         with open(".tbvad.lock", "w") as held:
             fcntl.flock(held, fcntl.LOCK_EX)
             code, _, err = run_cli(capsys, "eval", *inputs)
             assert code == 0, err
             code, _, err = run_cli(capsys, "explain", *inputs, "--video-id", vid)
             assert code == 0, err
+            code, _, err = run_cli(capsys, "caption-stats", *inputs[:4])
+            assert code == 0, err
         lines = Path("runs.log").read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line)["command"] for line in lines] == ["eval", "explain"]
+        entries = [json.loads(line) for line in lines]
+        assert [entry["command"] for entry in entries] == ["eval", "explain", "caption-stats"]
+        sha = hashlib.sha256(test_jsonl.read_bytes()).hexdigest()
+        assert entries[-1]["input_digests"] == {"captions": sha} and entries[-1]["outputs"] == []
 
     @needs_flock
     def test_lock_of_a_process_that_is_gone_is_taken_over(self, tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from tbvad.classifier import videos_features
 from tbvad.corpus import sample_evenly
 from tbvad.embedding import (
-    KNOWLEDGE_MAX_TOKENS,
+    MAX_TOKENS,
     EmbedderConfig,
     HashEmbedder,
     RemoteEmbedder,
@@ -29,7 +29,7 @@ import reference_summarizer
 from conftest import make_video
 from stubs import StubService, float32_vector
 
-HASH64 = EmbedderConfig(backend="hash", d=64, max_tokens=512, seed=7)
+HASH64 = EmbedderConfig(backend="hash", d=64, seed=7)
 
 
 def wide_vector(text: str, dim: int) -> list[float]:
@@ -40,8 +40,9 @@ def wide_vector(text: str, dim: int) -> list[float]:
 # A small vocabulary makes repeated tokens within and across texts common.
 WORDS = st.sampled_from(["a", "man", "runs", "the", "bat", "crowd", "x1", "street", "Car"])
 TEXTS = st.lists(st.lists(WORDS, min_size=1, max_size=20).map(" ".join), min_size=1, max_size=12)
-# 1 token, repeated tokens, and truncation at max_tokens, all in one batch.
-EDGE_TEXTS = ["bat", "man man man man", " ".join(["a", "crowd", "runs"] * 6), "the the"]
+# 1 token, repeated tokens, and truncation at MAX_TOKENS, all in one batch.
+EDGE_TEXTS = ["bat", "man man man man",
+              " ".join((["a", "crowd", "runs"] * MAX_TOKENS)[:MAX_TOKENS + 3]), "the the"]
 
 
 def assert_rows_pool_each_text(pooled: np.ndarray, texts: list[str], reference) -> None:
@@ -64,10 +65,9 @@ class TestHashEmbedder:
         assert np.array_equal(a.vectors, b.vectors)
 
     def test_truncation_to_max_tokens(self):
-        text = " ".join(f"tok{i}" for i in range(600))
-        cfg = EmbedderConfig(backend="hash", d=16, max_tokens=512, seed=0)
-        seq = embed_tokens(text, cfg)
-        assert seq.t == 512
+        text = " ".join(f"tok{i}" for i in range(MAX_TOKENS + 100))
+        seq = embed_tokens(text, EmbedderConfig(backend="hash", d=16, seed=0))
+        assert seq.t == MAX_TOKENS
 
     def test_equal_tokens_equal_rows(self):
         seq = embed_tokens("a b a", EmbedderConfig(backend="hash", d=64, seed=3))
@@ -129,26 +129,24 @@ class TestTokenize:
 
 
 class TestEmbedCaptions:
-    @given(texts=TEXTS, d=st.sampled_from([1, 3, 16]), max_tokens=st.integers(1, 12),
-           seed=st.integers(0, 3))
-    @example(texts=EDGE_TEXTS, d=16, max_tokens=8, seed=0)
+    @given(texts=TEXTS, d=st.sampled_from([1, 3, 16]), seed=st.integers(0, 3))
+    @example(texts=EDGE_TEXTS, d=16, seed=0)
     @settings(max_examples=60, deadline=None)
-    def test_hash_rows_equal_pooled_embed_tokens(self, texts, d, max_tokens, seed):
-        cfg = EmbedderConfig(backend="hash", d=d, max_tokens=max_tokens, seed=seed)
+    def test_hash_rows_equal_pooled_embed_tokens(self, texts, d, seed):
+        cfg = EmbedderConfig(backend="hash", d=d, seed=seed)
         assert_rows_pool_each_text(HashEmbedder(cfg).embed_captions(texts), texts, HashEmbedder(cfg))
 
     def test_remote_rows_equal_pooled_embed_tokens(self, monkeypatch):
         monkeypatch.delenv("TBVAD_CACHE_DIR", raising=False)
         with StubService(embed_fn=wide_vector) as svc:
 
-            @given(texts=TEXTS, d=st.sampled_from([1, 5, 16]), max_tokens=st.integers(1, 12))
-            @example(texts=EDGE_TEXTS, d=16, max_tokens=8)
+            @given(texts=TEXTS, d=st.sampled_from([1, 5, 16]))
+            @example(texts=EDGE_TEXTS, d=16)
             # One column and eight tokens: a pairwise sum would differ in the last bit.
-            @example(texts=["a a a a a the a a"], d=1, max_tokens=8)
+            @example(texts=["a a a a a the a a"], d=1)
             @settings(max_examples=25, deadline=None)
-            def check(texts, d, max_tokens):
-                cfg = EmbedderConfig(backend="remote", d=d, max_tokens=max_tokens,
-                                     endpoint=svc.endpoint, seed=0)
+            def check(texts, d):
+                cfg = EmbedderConfig(backend="remote", d=d, endpoint=svc.endpoint, seed=0)
                 pooled = RemoteEmbedder(cfg).embed_captions(texts)
                 assert_rows_pool_each_text(pooled, texts, RemoteEmbedder(cfg))
 
@@ -175,23 +173,22 @@ class TestEmbedCaptions:
         texts = [" ".join(rng.choice(words, size=rng.integers(1, 20))) for _ in range(2400)]
         videos = [make_video(f"v{i}", "normal", texts[i:i + 8]) for i in range(0, len(texts), 8)]
         with StubService(embed_fn=wide_vector) as svc:
-            cfg = EmbedderConfig(backend="remote", d=16, max_tokens=512, endpoint=svc.endpoint, seed=0)
+            cfg = EmbedderConfig(backend="remote", d=16, endpoint=svc.endpoint, seed=0)
             rows = np.concatenate([f.x for f in videos_features(videos, cfg, 8)])
             pooled = RemoteEmbedder(cfg).embed_captions(texts)
         for row, p in zip(rows, pooled, strict=True):
             assert row.tobytes() == (p / np.linalg.norm(p)).tobytes()
 
     def test_one_long_text_among_short_ones(self, monkeypatch):
-        # The knowledge shape: one joined text at the knowledge token budget
-        # among short slot texts, with row sums that round.
+        # The knowledge shape: one joined text past the token cap among short
+        # slot texts, with row sums that round.
         monkeypatch.delenv("TBVAD_CACHE_DIR", raising=False)
         rng = np.random.default_rng(3)
         words = [f"w{i}" for i in range(200)]
-        joined = " ".join(rng.choice(words, size=KNOWLEDGE_MAX_TOKENS + 5))
+        joined = " ".join(rng.choice(words, size=MAX_TOKENS + 5))
         texts = ["w1 w2", "w3", joined, "w4 w5 w6", "w7", "w1 w8 w9 w2"]
         with StubService(embed_fn=wide_vector) as svc:
-            cfg = EmbedderConfig(backend="remote", d=4, max_tokens=KNOWLEDGE_MAX_TOKENS,
-                                 endpoint=svc.endpoint, seed=0)
+            cfg = EmbedderConfig(backend="remote", d=4, endpoint=svc.endpoint, seed=0)
             pooled = RemoteEmbedder(cfg).embed_captions(texts)
             assert_rows_pool_each_text(pooled, texts, RemoteEmbedder(cfg))
 
@@ -218,7 +215,7 @@ class TestEmbedCaptions:
         rng = np.random.default_rng(0)
         words = [f"w{i}" for i in range(1000)]
         texts = [" ".join(words[j] for j in rng.integers(0, len(words), t)) for _ in range(n)]
-        emb = HashEmbedder(EmbedderConfig(backend="hash", d=d, max_tokens=t, seed=0))
+        emb = HashEmbedder(EmbedderConfig(backend="hash", d=d, seed=0))
         emb.embed_captions(texts)  # fill the token cache, which lives as long as the embedder
         tracemalloc.start()
         try:
@@ -301,8 +298,8 @@ class TestTokenEmbeddingSeq:
 
 class TestRemoteEmbedder:
     def cfg(self, endpoint, tmp_path, d=8):
-        return EmbedderConfig(backend="remote", d=d, max_tokens=512,
-                              endpoint=endpoint, cache_dir=str(tmp_path / "cache"), seed=0)
+        return EmbedderConfig(backend="remote", d=d, endpoint=endpoint,
+                              cache_dir=str(tmp_path / "cache"), seed=0)
 
     def test_round_trip_and_dimensions(self, tmp_path):
         with StubService() as svc:

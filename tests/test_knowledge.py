@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tbvad.corpus import CaptionCorpus, group_by_class, sentence_split
-from tbvad.embedding import EmbedderConfig, embed_tokens, mean_pool, tokenize
+from tbvad.embedding import MAX_TOKENS, EmbedderConfig, embed_tokens, mean_pool, tokenize
 from tbvad.errors import TbvadError, ValidationError
 from tbvad.knowledge import (
     ASPECTS,
@@ -32,7 +32,7 @@ from conftest import make_video
 from reference_summarizer import ReferenceSummarizer
 from stubs import StubService
 
-EMB = EmbedderConfig(backend="hash", d=32, max_tokens=4096, seed=5)
+EMB = EmbedderConfig(backend="hash", d=32, seed=5)
 
 
 def corpus_of(texts, label="normal", vid="v0"):
@@ -359,14 +359,14 @@ class TestRemoteKnowledgeEmbedding:
 
         monkeypatch.setattr(VectorCache, "get", counting_get)
         with StubService() as svc:
-            cfg = EmbedderConfig(backend="remote", d=16, max_tokens=4096, endpoint=svc.endpoint,
+            cfg = EmbedderConfig(backend="remote", d=16, endpoint=svc.endpoint,
                                  cache_dir=str(tmp_path / "cache"), seed=0)
             kb = build_knowledge(d_n, d_a, default_prompts(), cfg, backend=NumberedSummarizer())
             mean = knowledge_mean_embedding(kb)
             texts = [s.text for s in kb.slots.values()]
             texts += [sent for s in kb.slots.values() for sent in s.sentences]
             texts += [kb.joined_text(v) for v in ("n", "a")]
-            distinct = {t for text in texts for t in tokenize(text)[:cfg.max_tokens]}
+            distinct = {t for text in texts for t in tokenize(text)[:MAX_TOKENS]}
             assert len(distinct) > 64
             assert svc.request_count == -(-len(distinct) // 64)
             assert sum(len(r["body"]["texts"]) for r in svc.requests) == len(distinct)
@@ -374,7 +374,7 @@ class TestRemoteKnowledgeEmbedding:
             path = tmp_path / "kb.json"
             save_knowledge(kb, path)
             gets.clear()
-            loaded = load_knowledge(path, endpoint=svc.endpoint, cache_dir=str(tmp_path / "cache"))
+            loaded = load_knowledge(path, cfg)
             assert np.array_equal(knowledge_mean_embedding(loaded), mean)
             assert svc.request_count == -(-len(distinct) // 64)
         # The caption side takes the loaded cache once; the knowledge base keeps no reference.

@@ -67,7 +67,7 @@ def _knowledge_file() -> bytes:
     d_n = CaptionCorpus(videos=(make_video("n0", "normal", ["People walk past the store."]),))
     d_a = CaptionCorpus(videos=(make_video("a0", "abnormal", ["A man swings a bat."]),))
     kb = build_knowledge(d_n, d_a, default_prompts(),
-                         EmbedderConfig(backend="hash", d=8, max_tokens=4096, seed=3),
+                         EmbedderConfig(backend="hash", d=8, seed=3),
                          active_aspects=("object", "environment"))
     return (kb.to_json() + "\n").encode("utf-8")
 
@@ -88,7 +88,7 @@ def _legacy_model(raw: bytes) -> bytes:
 
 CONFIG = json.dumps({
     "seed": 5, "k_frames": 6, "aspects": ["object", "action"],
-    "embedder": {"d": 32, "max_tokens": 512, "knowledge_max_tokens": 4096},
+    "embedder": {"d": 32},
     "train": {"learning_rate": 0.25, "epochs": 8, "batch_size": 8},
 }).encode("utf-8")
 
