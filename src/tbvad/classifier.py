@@ -17,6 +17,11 @@ order.
 Training minimizes mean video-level binary cross-entropy with L2 on the
 weight matrices, by plain seeded-shuffle mini-batch gradient descent.  All
 gradients are analytic and finite-difference checked in the test suite.
+
+``_tensor_table`` names, shapes and initializes every tensor of the model,
+the encoder's and the importance net's included, in file order;
+``init_model_params`` draws from it and ``load_model`` reads the file's
+blocks against it, and both build the model through ``_model_params``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .encoder import (
     encoder_backward,
     encoder_forward,
     f32_exact,
-    init_encoder_params,
 )
 from .errors import ModelFormatError, TbvadError, ValidationError
 from .knowledge import (
@@ -55,7 +59,6 @@ from .reasoning import (
     ImportanceParams,
     importance_backward,
     importance_forward,
-    init_importance_params,
     slot_attention,
     softmax,
 )
@@ -152,29 +155,55 @@ class ModelParams:
         return out
 
 
-def init_model_params(cfg: ModelConfig) -> ModelParams:
-    """Seeded init; fusion and projections uniform by fan-in, gate zero."""
-    encoder = init_encoder_params(
-        num_layers=cfg.num_layers, num_heads=cfg.num_heads, d_model=cfg.d_model,
-        d_latent=cfg.d_latent, seed=cfg.seed, d_ff=cfg.d_ff,
-    )
-    importance = init_importance_params(cfg.d_model, seed=cfg.seed + 1)
-    rng = np.random.default_rng(cfg.seed + 2)
+def _tensor_table(cfg: ModelConfig):
+    """Yield (name, shape, init) of each tensor of a model with this config, in file order.
 
-    def uniform(shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
-        return f32_exact(rng.uniform(-bound, bound, size=shape))
+    ``init`` is the constant the tensor starts at, or ``(stream, fan_in)``: a
+    uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) draw from
+    ``default_rng(cfg.seed + stream)``.  Stream 0 feeds the encoder, 1 the
+    importance net and 2 the knowledge projection and fusion weights; each
+    stream draws its tensors in file order.
+    """
+    d, d_ff, dl, dk = cfg.d_model, cfg.d_ff, cfg.d_latent, cfg.knowledge_dim
+    layer = (("ln1_g", (d,), 1.0), ("ln1_b", (d,), 0.0), ("wq", (d, d), (0, d)),
+             ("wk", (d, d), (0, d)), ("wv", (d, d), (0, d)), ("wo", (d, d), (0, d)),
+             ("ln2_g", (d,), 1.0), ("ln2_b", (d,), 0.0), ("w1", (d_ff, d), (0, d)),
+             ("c1", (d_ff,), (0, d)), ("w2", (d, d_ff), (0, d_ff)), ("c2", (d,), (0, d_ff)))
+    for i in range(cfg.num_layers):
+        for name, shape, init in layer:
+            yield f"encoder.layers.{i}.{name}", shape, init
+    yield from (("encoder.w_d", (dl, d), (0, d)), ("encoder.b_d", (dl,), (0, d)),
+                ("w_v", (dl, dk), (2, dk)), ("b_v", (dl,), (2, dk)),
+                ("fuse_w", (2 * dl,), (2, 2 * dl)), ("fuse_b", (1,), 0.0),
+                ("importance.w1", (d, 2 * d), (1, 2 * d)), ("importance.b1", (d,), (1, 2 * d)),
+                ("importance.w2", (d,), (1, d)), ("importance.b2", (1,), (1, d)),
+                ("gate", (1,), 0.0))
 
+
+def _model_params(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelParams:
+    """The model of ``cfg`` over ``tensors``, keyed by ``_tensor_table`` name."""
+    layers = [LayerParams(**{f: tensors[f"encoder.layers.{i}.{f}"] for f in LayerParams.FIELDS})
+              for i in range(cfg.num_layers)]
+    encoder = EncoderParams(cfg.num_layers, cfg.num_heads, cfg.d_model, cfg.d_ff, cfg.d_latent,
+                            layers, tensors["encoder.w_d"], tensors["encoder.b_d"])
+    importance = {f: tensors[f"importance.{f}"] for f in ImportanceParams.FIELDS}
     return ModelParams(
-        config=cfg,
-        encoder=encoder,
-        w_v=uniform((cfg.d_latent, cfg.knowledge_dim), cfg.knowledge_dim),
-        b_v=uniform((cfg.d_latent,), cfg.knowledge_dim),
-        fuse_w=uniform((2 * cfg.d_latent,), 2 * cfg.d_latent),
-        fuse_b=np.zeros(1),
-        importance=importance,
-        gate=np.zeros(1),
-    )
+        config=cfg, encoder=encoder, importance=ImportanceParams(**importance),
+        **{name: tensors[name] for name in ("w_v", "b_v", "fuse_w", "fuse_b", "gate")})
+
+
+def init_model_params(cfg: ModelConfig) -> ModelParams:
+    """Seeded init of every tensor as ``_tensor_table`` gives it."""
+    rngs = [np.random.default_rng(cfg.seed + stream) for stream in range(3)]
+    tensors = {}
+    for name, shape, init in _tensor_table(cfg):
+        if isinstance(init, tuple):
+            stream, fan_in = init
+            bound = 1.0 / math.sqrt(fan_in)
+            tensors[name] = f32_exact(rngs[stream].uniform(-bound, bound, size=shape))
+        else:
+            tensors[name] = np.full(shape, init)
+    return _model_params(cfg, tensors)
 
 
 def _sigmoid(x: float) -> float:
@@ -698,25 +727,10 @@ def _header_config(raw) -> ModelConfig:
     return ModelConfig.from_dict(raw)
 
 
-def _tensor_shapes(cfg: ModelConfig):
-    """Yield (name, shape) of each tensor of a model with this config, in file order."""
-    d, d_ff, dl = cfg.d_model, cfg.d_ff, cfg.d_latent
-    layer = {"ln1_g": (d,), "ln1_b": (d,), "wq": (d, d), "wk": (d, d), "wv": (d, d),
-             "wo": (d, d), "ln2_g": (d,), "ln2_b": (d,), "w1": (d_ff, d), "c1": (d_ff,),
-             "w2": (d, d_ff), "c2": (d,)}
-    for i in range(cfg.num_layers):
-        for name, shape in layer.items():
-            yield f"encoder.layers.{i}.{name}", shape
-    yield from {"encoder.w_d": (dl, d), "encoder.b_d": (dl,), "w_v": (dl, cfg.knowledge_dim),
-                "b_v": (dl,), "fuse_w": (2 * dl,), "fuse_b": (1,), "importance.w1": (d, 2 * d),
-                "importance.b1": (d,), "importance.w2": (d,), "importance.b2": (1,),
-                "gate": (1,)}.items()
-
-
 def load_model(path, *, data: bytes | None = None) -> ModelParams:
     """Read a model file whose header lists exactly its config's tensors, in order.
 
-    That list is ``_tensor_shapes(config)``; the file holds exactly their blocks.
+    That list is ``_tensor_table(config)``'s; the file holds exactly their blocks.
     ``data`` is the file's bytes, already read by the caller (who may have
     hashed them).
     """
@@ -742,7 +756,7 @@ def load_model(path, *, data: bytes | None = None) -> ModelParams:
     # The table is walked lazily and each block checked against the file's length
     # before it is read, so a header's dims cannot make the load outrun the file.
     tensors, offset = {}, header_end
-    for name, shape in _tensor_shapes(cfg):
+    for name, shape, _ in _tensor_table(cfg):
         size = math.prod(shape)
         if offset + 4 * size > len(data):
             raise ModelFormatError(f"truncated tensor blocks: tensor {name} ends at byte "
@@ -761,14 +775,7 @@ def load_model(path, *, data: bytes | None = None) -> ModelParams:
     listed = [{"name": name, "shape": list(arr.shape)} for name, arr in tensors.items()]
     if json.dumps(header.get("tensors"), sort_keys=True) != json.dumps(listed, sort_keys=True):
         raise ModelFormatError("tensor list does not match the model architecture")
-    layers = [LayerParams(**{f: tensors[f"encoder.layers.{i}.{f}"] for f in LayerParams.FIELDS})
-              for i in range(cfg.num_layers)]
     try:
-        encoder = EncoderParams(cfg.num_layers, cfg.num_heads, cfg.d_model, cfg.d_ff, cfg.d_latent,
-                                layers, tensors["encoder.w_d"], tensors["encoder.b_d"])
+        return _model_params(cfg, tensors)
     except ValidationError as e:
         raise ModelFormatError(f"header config is inconsistent: {e}") from e
-    importance = {f: tensors[f"importance.{f}"] for f in ImportanceParams.FIELDS}
-    return ModelParams(
-        config=cfg, encoder=encoder, importance=ImportanceParams(**importance),
-        **{name: tensors[name] for name in ("w_v", "b_v", "fuse_w", "fuse_b", "gate")})

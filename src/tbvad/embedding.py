@@ -242,7 +242,11 @@ class RemoteEmbedder(_TokenEmbedder):
             raise RemoteServiceError(f"embedding service returned a malformed response from {url}")
         out = []
         for v in vectors:
-            arr = np.asarray(v, dtype=np.float32)
+            try:
+                arr = np.asarray(v, dtype=np.float32)
+            except (TypeError, ValueError) as e:
+                raise RemoteServiceError(
+                    f"embedding service returned a malformed response from {url}") from e
             if arr.shape != (self.cfg.d,):
                 raise ValidationError(
                     f"embedding service returned dim {arr.shape} but config requires ({self.cfg.d},)"

@@ -16,13 +16,16 @@ Fixed sinusoidal positional encodings are added before the first layer
 is the identity.  Masked positions are excluded from attention via additive
 -inf scores and zeroed in the output; the classifier never pads a segment
 and passes an all-True mask.
+
+The tensors are named, shaped and seeded in ``classifier._tensor_table``;
+``classifier.init_model_params`` builds an ``EncoderParams`` from it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,9 +124,9 @@ class EncoderParams:
     d_model: int
     d_ff: int
     d_latent: int
-    layers: list[LayerParams] = field(default_factory=list)
-    w_d: np.ndarray | None = None
-    b_d: np.ndarray | None = None
+    layers: list[LayerParams]
+    w_d: np.ndarray
+    b_d: np.ndarray
 
     def __post_init__(self):
         if self.d_model % self.num_heads != 0:
@@ -142,36 +145,6 @@ class EncoderParams:
         out["w_d"] = self.w_d
         out["b_d"] = self.b_d
         return out
-
-
-def init_encoder_params(num_layers: int, num_heads: int, d_model: int,
-                        d_latent: int, seed: int, d_ff: int | None = None) -> EncoderParams:
-    """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init; LN gains 1, biases 0."""
-    d_ff = d_ff if d_ff is not None else 4 * d_model
-    rng = np.random.default_rng(seed)
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
-        return f32_exact(rng.uniform(-bound, bound, size=shape))
-
-    layers = []
-    for _ in range(num_layers):
-        layers.append(LayerParams(
-            ln1_g=np.ones(d_model), ln1_b=np.zeros(d_model),
-            wq=uniform((d_model, d_model), d_model),
-            wk=uniform((d_model, d_model), d_model),
-            wv=uniform((d_model, d_model), d_model),
-            wo=uniform((d_model, d_model), d_model),
-            ln2_g=np.ones(d_model), ln2_b=np.zeros(d_model),
-            w1=uniform((d_ff, d_model), d_model), c1=uniform((d_ff,), d_model),
-            w2=uniform((d_model, d_ff), d_ff), c2=uniform((d_model,), d_ff),
-        ))
-    return EncoderParams(
-        num_layers=num_layers, num_heads=num_heads, d_model=d_model,
-        d_ff=d_ff, d_latent=d_latent, layers=layers,
-        w_d=uniform((d_latent, d_model), d_model),
-        b_d=uniform((d_latent,), d_model),
-    )
 
 
 def _split_heads(x: np.ndarray, nh: int) -> np.ndarray:

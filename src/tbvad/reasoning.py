@@ -11,6 +11,9 @@ predicted class's top-weighted slots, the knowledge sentence most
 cosine-similar to the mean description embedding.  Counterfactual margins
 are the predicted class's weights minus the opposite class's.  Everything
 is assembled into a structured, JSON-serializable explanation record.
+
+The importance net's tensors are named, shaped and seeded with the rest of
+the model's, in ``classifier._tensor_table``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .embedding import cosine_similarity
-from .encoder import f32_exact
 from .errors import TbvadError, ValidationError
 from .knowledge import ASPECTS, CLASS_NAMES, CLASSES, KnowledgeBase
 
@@ -65,7 +67,10 @@ def slot_attention(k_v: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 @dataclass
 class ImportanceParams:
-    """Two-layer feed-forward scorer shared across slots: [C_s; K_s] -> z_s."""
+    """Two-layer feed-forward scorer shared across slots: [C_s; K_s] -> z_s.
+
+    Hidden width d_model, tanh nonlinearity, scalar output per slot.
+    """
 
     w1: np.ndarray
     b1: np.ndarray
@@ -76,23 +81,6 @@ class ImportanceParams:
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.FIELDS}
-
-
-def init_importance_params(d_model: int, seed: int) -> ImportanceParams:
-    """Hidden width d_model, tanh nonlinearity, scalar output per slot."""
-    rng = np.random.default_rng(seed)
-    fan_in = 2 * d_model
-
-    def uniform(shape, fan):
-        bound = 1.0 / math.sqrt(fan)
-        return f32_exact(rng.uniform(-bound, bound, size=shape))
-
-    return ImportanceParams(
-        w1=uniform((d_model, fan_in), fan_in),
-        b1=uniform((d_model,), fan_in),
-        w2=uniform((d_model,), d_model),
-        b2=uniform((1,), d_model),
-    )
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

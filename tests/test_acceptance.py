@@ -40,7 +40,6 @@ from tbvad.knowledge import build_knowledge, default_prompts, load_knowledge, sa
 from tbvad.reasoning import (
     ExplanationRecord,
     importance_forward,
-    init_importance_params,
     render_explanation,
     retrieve_evidence,
     slot_attention,
@@ -49,7 +48,7 @@ from tbvad.reasoning import (
 )
 from tbvad.synthetic import SyntheticConfig, generate_corpus
 
-from conftest import make_video
+from conftest import importance_params, make_video
 from stubs import StubService
 from test_metrics import ap_cutpoint_oracle, auc_pairwise_oracle, random_instance
 from test_reasoning import kb_with_embeddings, margins_of, retrieval_oracle
@@ -161,7 +160,7 @@ class TestCriterion3ReasoningFidelity:
             assert worst <= 1e-10
 
         # Importance: sums to one, shift-invariant, argmax-consistent.
-        f = init_importance_params(6, seed=33)
+        f = importance_params(6, seed=33)
         for _ in range(100):
             c = rng.normal(size=(4, 6))
             k_v = rng.normal(size=(4, 6))
@@ -194,7 +193,7 @@ class TestCriterion4CounterfactualMargins:
         for trial in range(200):
             d = int(rng.integers(3, 9))
             kb = kb_with_embeddings(d, 2, rng)
-            f = init_importance_params(d, seed=trial)
+            f = importance_params(d, seed=trial)
             t = int(rng.integers(1, 7))
             h = TokenEmbeddingSeq(vectors=rng.normal(size=(t, d)))
             v = "a" if trial % 2 else "n"

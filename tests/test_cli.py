@@ -260,6 +260,23 @@ class TestValidation:
         assert err.startswith("error:") and err.count("\n") == 1
         assert ("caption file" if flag == "--captions" else flag) in err
 
+    @pytest.mark.parametrize("flag", ["--captions", "--knowledge", "--model"])
+    def test_unreadable_input_exits_2(self, workspace, capsys, monkeypatch, flag):
+        flags = {"--config": workspace["cfg"], "--captions": str(workspace["data"] / "test.jsonl"),
+                 "--knowledge": str(workspace["kb"]), "--model": str(workspace["model"])}
+        read_bytes = Path.read_bytes
+
+        def refuse(path):
+            if str(path) == flags[flag]:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        code, _, err = run_cli(capsys, "eval", *(a for item in flags.items() for a in item))
+        assert code == 2
+        (line,) = err.splitlines()
+        assert line.startswith("runtime error:") and "Permission denied" in line
+
     def test_captions_file_that_is_not_utf8_rejected(self, tmp_path, capsys):
         good = json.dumps({"video_id": "v", "frame_index": 0, "label": "normal", "text": "A cat."})
         bad = tmp_path / "utf16.jsonl"
@@ -317,6 +334,23 @@ class TestValidation:
         assert code == 2
         (line,) = err.splitlines()
         assert line.startswith("runtime error:") and "JSON list, not an object" in line
+
+    @pytest.mark.parametrize("vector", [
+        lambda dim: ["x"] * dim,
+        lambda dim: [0.0] * (dim - 1) + [[0.0]],
+        lambda dim: [{}] * dim,
+    ], ids=["strings", "nested-list", "objects"])
+    def test_malformed_embedding_vector_is_one_error_line(self, workspace, tmp_path, capsys,
+                                                          monkeypatch, vector):
+        monkeypatch.delenv("TBVAD_CACHE_DIR", raising=False)
+        with StubService(embed_fn=lambda text, dim: vector(dim)) as svc:
+            code, _, err = run_cli(capsys, "build-knowledge", "--config", workspace["cfg"],
+                                   "--captions", str(workspace["data"] / "train.jsonl"),
+                                   "--out", str(tmp_path / "kb.json"), "--extractive",
+                                   "--embed-endpoint", svc.endpoint)
+        assert code == 2, err
+        (line,) = err.splitlines()
+        assert line.startswith("runtime error:") and "malformed response" in line
 
     def test_prompts_not_in_the_config_keep_the_shipped_template(self, tmp_path):
         args = argparse.Namespace(config=cli_config(tmp_path, prompts={"object": "O: {captions}"}))

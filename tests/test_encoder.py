@@ -11,11 +11,18 @@ from tbvad.encoder import (
     encoder_backward,
     encoder_forward,
     gelu,
-    init_encoder_params,
     layer_norm,
     sinusoidal_positions,
 )
 from tbvad.errors import TbvadError, ValidationError
+
+
+def encoder_params(num_layers, num_heads, d_model, d_latent, seed):
+    """The encoder of a seeded model whose feed-forward width is 4 * d_model."""
+    cfg = ModelConfig(d_model=d_model, num_layers=num_layers, num_heads=num_heads,
+                      d_ff=4 * d_model, d_latent=d_latent, knowledge_dim=1, k_frames=1,
+                      seed=seed, active_aspects=())
+    return init_model_params(cfg).encoder
 
 
 def naive_layer_forward(x, layer, mask, nh):
@@ -68,21 +75,21 @@ class TestEncodeDescriptions:
     """encoder_forward over caption-embedding sequences."""
 
     def test_zero_layers_is_identity(self):
-        params = init_encoder_params(num_layers=0, num_heads=2, d_model=8, d_latent=4, seed=0)
+        params = encoder_params(num_layers=0, num_heads=2, d_model=8, d_latent=4, seed=0)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1, 5, 8))
         h, _ = encoder_forward(x, np.ones((1, 5), dtype=bool), params)
         assert np.array_equal(h, x)
 
     def test_single_token_finite(self):
-        params = init_encoder_params(num_layers=2, num_heads=2, d_model=8, d_latent=4, seed=1)
+        params = encoder_params(num_layers=2, num_heads=2, d_model=8, d_latent=4, seed=1)
         x = np.random.default_rng(1).normal(size=(1, 1, 8))
         h, _ = encoder_forward(x, np.ones((1, 1), dtype=bool), params)
         assert h.shape == (1, 1, 8)
         assert np.all(np.isfinite(h))
 
     def test_matches_naive_per_head_oracle(self):
-        params = init_encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=4, seed=2)
+        params = encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=4, seed=2)
         rng = np.random.default_rng(2)
         x = rng.normal(size=(4, 8))
         mask = np.ones(4, dtype=bool)
@@ -92,7 +99,7 @@ class TestEncodeDescriptions:
         assert np.max(np.abs(got - expected)) <= 1e-8
 
     def test_oracle_with_masked_key(self):
-        params = init_encoder_params(num_layers=1, num_heads=4, d_model=8, d_latent=4, seed=3)
+        params = encoder_params(num_layers=1, num_heads=4, d_model=8, d_latent=4, seed=3)
         rng = np.random.default_rng(3)
         mask = np.array([True, True, False, True])
         x = rng.normal(size=(4, 8))
@@ -108,11 +115,11 @@ class TestEncodeDescriptions:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 6, 16))
         for depth in (0, 1, 3):
-            params = init_encoder_params(num_layers=depth, num_heads=4, d_model=16, d_latent=8, seed=depth)
+            params = encoder_params(num_layers=depth, num_heads=4, d_model=16, d_latent=8, seed=depth)
             assert encoder_forward(x, np.ones((1, 6), dtype=bool), params)[0].shape == (1, 6, 16)
 
     def test_position_sensitive(self):
-        params = init_encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=4, seed=5)
+        params = encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=4, seed=5)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 8))
         perm = np.array([2, 0, 3, 1])
@@ -120,12 +127,12 @@ class TestEncodeDescriptions:
         assert not np.allclose(h[0][perm], h[1])
 
     def test_dimension_mismatch_rejected(self):
-        params = init_encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=4, seed=6)
+        params = encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=4, seed=6)
         with pytest.raises(ValidationError, match="d_model"):
             encoder_forward(np.zeros((1, 3, 6)), np.ones((1, 3), dtype=bool), params)
 
     def test_fully_masked_video_in_batch_rejected(self):
-        params = init_encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=4, seed=6)
+        params = encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=4, seed=6)
         mask = np.ones((3, 4), dtype=bool)
         mask[1] = False
         with pytest.raises(ValidationError, match="unmasked"):
@@ -133,7 +140,7 @@ class TestEncodeDescriptions:
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nan_names_layer(self):
-        params = init_encoder_params(num_layers=2, num_heads=2, d_model=8, d_latent=4, seed=7)
+        params = encoder_params(num_layers=2, num_heads=2, d_model=8, d_latent=4, seed=7)
         params.layers[1].w2[:] = np.inf
         x = np.random.default_rng(7).normal(size=(1, 3, 8))
         with pytest.raises(TbvadError, match="layer 2"):
@@ -188,7 +195,7 @@ class TestProjectDescription:
 
     def test_matches_matvec_oracle(self):
         rng = np.random.default_rng(9)
-        params = init_encoder_params(num_layers=0, num_heads=1, d_model=6, d_latent=3, seed=9)
+        params = encoder_params(num_layers=0, num_heads=1, d_model=6, d_latent=3, seed=9)
         h = rng.normal(size=(4, 6))
         pooled = h.mean(axis=0)
         oracle = np.zeros(3)
@@ -202,7 +209,7 @@ class TestProjectDescription:
     def test_all_masked_rejected(self):
         # The encoder checks the mask before its identity shortcut, so no
         # fully masked segment reaches the pool.
-        params = init_encoder_params(num_layers=0, num_heads=1, d_model=2, d_latent=2, seed=0)
+        params = encoder_params(num_layers=0, num_heads=1, d_model=2, d_latent=2, seed=0)
         with pytest.raises(ValidationError, match="unmasked"):
             encoder_forward(np.zeros((1, 2, 2)), np.zeros((1, 2), dtype=bool), params)
 
@@ -224,7 +231,7 @@ def relative_gradient_errors(analytic: dict, numeric: dict):
 
 class TestEncoderGradients:
     def test_analytic_matches_finite_differences(self):
-        params = init_encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=5, seed=11)
+        params = encoder_params(num_layers=1, num_heads=2, d_model=8, d_latent=5, seed=11)
         rng = np.random.default_rng(11)
         x = rng.normal(size=(4, 8))
         mask = np.array([True, True, True, False])
@@ -265,7 +272,7 @@ class TestEncoderGradients:
         relative_gradient_errors(analytic, numeric)
 
     def test_zero_layer_backward_passthrough(self):
-        params = init_encoder_params(num_layers=0, num_heads=1, d_model=4, d_latent=2, seed=0)
+        params = encoder_params(num_layers=0, num_heads=1, d_model=4, d_latent=2, seed=0)
         dh = np.random.default_rng(0).normal(size=(3, 4))
         dx, grads = encoder_backward(dh, np.ones(3, dtype=bool), params, [])
         assert np.array_equal(dx, dh)

@@ -21,7 +21,6 @@ from tbvad.reasoning import (
     generate_explanation,
     importance_backward,
     importance_forward,
-    init_importance_params,
     render_explanation,
     retrieve_evidence,
     slot_attention,
@@ -29,6 +28,7 @@ from tbvad.reasoning import (
     softmax,
 )
 
+from conftest import importance_params
 from stubs import StubService
 
 GOLDEN = Path(__file__).parent / "data" / "explanation_golden.txt"
@@ -125,7 +125,7 @@ class TestSlotImportance:
     def test_importance_gradients_match_fd(self):
         rng = np.random.default_rng(7)
         d = 5
-        f = init_importance_params(d, seed=7)
+        f = importance_params(d, seed=7)
         c = rng.normal(size=(4, d))
         k_v = rng.normal(size=(4, d))
         r = rng.normal(size=4)
@@ -162,7 +162,7 @@ class TestStackedSlices:
     def test_each_slice_equals_its_own_call(self):
         rng = np.random.default_rng(11)
         d, s, t, b = 6, 4, 5, 3
-        f = init_importance_params(d, seed=11)
+        f = importance_params(d, seed=11)
         k_v = rng.normal(size=(s, d))
         h = rng.normal(size=(b, t, d))
         dz = rng.normal(size=(b, s))
@@ -194,7 +194,7 @@ class TestStackedSlices:
 
         h = spread(t, d)
         protos = spread(2, s, d)
-        f = init_importance_params(d, seed=seed)
+        f = importance_params(d, seed=seed)
         a, c = slot_attention(protos, h)
         w = slot_importance(c, protos, f)
         for i in range(2):
@@ -286,7 +286,7 @@ class TestCounterfactualMargins:
         rng = np.random.default_rng(14)
         kb = kb_with_embeddings(6, 2, rng)
         kb.prototypes["a"] = kb.prototypes["n"].copy()
-        f = init_importance_params(6, seed=1)
+        f = importance_params(6, seed=1)
         h = seq(rng.normal(size=(5, 6)))
         margins = margins_of(h, kb, f, "a")
         assert all(abs(v) <= 1e-12 for v in margins.values())
@@ -295,7 +295,7 @@ class TestCounterfactualMargins:
         rng = np.random.default_rng(15)
         for trial in range(20):
             kb = kb_with_embeddings(6, 2, rng)
-            f = init_importance_params(6, seed=trial)
+            f = importance_params(6, seed=trial)
             h = seq(rng.normal(size=(4, 6)))
             margins = margins_of(h, kb, f, "n")
             assert abs(sum(margins.values())) <= 1e-9
@@ -303,7 +303,7 @@ class TestCounterfactualMargins:
     def test_sign_flips_under_class_swap(self):
         rng = np.random.default_rng(16)
         kb = kb_with_embeddings(6, 2, rng)
-        f = init_importance_params(6, seed=3)
+        f = importance_params(6, seed=3)
         h = seq(rng.normal(size=(4, 6)))
         m_a = margins_of(h, kb, f, "a")
         m_n = margins_of(h, kb, f, "n")
