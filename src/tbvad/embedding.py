@@ -35,6 +35,7 @@ from array import array
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -234,25 +235,26 @@ class RemoteEmbedder(_TokenEmbedder):
             cache = VectorCache(embed_dir) if embed_dir else None
         self.cache = cache
 
-    def _fetch_batch(self, texts: list[str]) -> list[np.ndarray]:
+    def _fetch_batch(self, texts: list[str]) -> np.ndarray:
         url = self.cfg.endpoint.rstrip("/") + "/embed"
         body = post_json(url, {"texts": texts, "dim": self.cfg.d})
         vectors = body.get("vectors")
-        if body.get("dim") != self.cfg.d or not isinstance(vectors, list) or len(vectors) != len(texts):
+        # Exact types: a JSON string, bool, null or list is not a vector entry,
+        # though np.asarray would convert some of them.
+        if (body.get("dim") != self.cfg.d or type(vectors) is not list or len(vectors) != len(texts)
+                or not all(type(v) is list for v in vectors)
+                or not set(map(type, chain.from_iterable(vectors))) <= {float, int}):
             raise RemoteServiceError(f"embedding service returned a malformed response from {url}")
-        out = []
         for v in vectors:
-            try:
-                arr = np.asarray(v, dtype=np.float32)
-            except (TypeError, ValueError) as e:
-                raise RemoteServiceError(
-                    f"embedding service returned a malformed response from {url}") from e
-            if arr.shape != (self.cfg.d,):
+            if len(v) != self.cfg.d:
                 raise ValidationError(
-                    f"embedding service returned dim {arr.shape} but config requires ({self.cfg.d},)"
+                    f"embedding service returned dim ({len(v)},) but config requires ({self.cfg.d},)"
                 )
-            out.append(arr)
-        return out
+        try:
+            return np.array(vectors, dtype=np.float32)
+        except OverflowError as e:  # an integer beyond float64 range
+            raise RemoteServiceError(
+                f"embedding service returned a malformed response from {url}") from e
 
     def embed_texts(self, texts: list[str]) -> list[np.ndarray]:
         """Embed a list of strings, one vector each: memory, then disk cache, then batched fetch."""

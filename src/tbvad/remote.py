@@ -1,7 +1,10 @@
 """HTTP plumbing shared by the remote embedding and generation clients.
 
-Both services are simple JSON-over-POST endpoints.  Calls are retried on
-connection, timeout, 5xx, 408 and 429 failures, and responses are cached on
+Both services are simple JSON-over-POST endpoints, reached through the
+standard library's ``urllib.request``, so the proxy environment variables
+(``http_proxy``, ``https_proxy``, ``no_proxy``) apply and HTTPS verifies
+against the system CA store.  Calls are retried on connection, timeout,
+truncated-reply, 5xx, 408 and 429 failures, and responses are cached on
 disk so reruns are idempotent and issue zero network requests.  Embeddings
 are cached as one pack file per store, generated texts as one file per
 prompt.  Cache writes go through a temp file + rename so concurrent writers
@@ -11,14 +14,18 @@ cannot leave partial files.
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import logging
 import os
 import struct
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .errors import RemoteServiceError
 
@@ -48,33 +55,48 @@ def default_cache_dir() -> Path | None:
     return Path(raw) if raw else None
 
 
+def _post(url: str, data: bytes, timeout: float) -> tuple[int, bytes]:
+    """One POST of a JSON body: the reply's status code, and its body if the status is 2xx."""
+    request = urllib.request.Request(url, data=data, headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as e:
+        e.close()
+        return e.code, b""
+
+
 def post_json(url: str, payload: dict) -> dict:
     """POST a JSON payload, retrying transient failures.
 
-    Connection errors, timeouts, a body that is not a JSON object and non-200
-    responses are retried, except a 4xx other than 408 (timeout) and 429 (too
-    many requests): the request itself is at fault, so it fails at once.
-    Raises RemoteServiceError carrying the attempt count.
+    Connection errors, timeouts, a truncated reply, a body that is not a JSON
+    object and non-200 responses are retried, except a 4xx other than 408
+    (timeout) and 429 (too many requests): the request itself is at fault,
+    so it fails at once.  Raises RemoteServiceError carrying the attempt count.
     """
+    if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+        raise RemoteServiceError(f"POST {url} failed: not an http or https URL", attempts=0)
     timeout = http_timeout_seconds()
+    data = json.dumps(payload).encode("utf-8")
     last_error = "no attempt made"
     for attempt in range(1, RETRIES + 1):
         try:
-            resp = requests.post(url, json=payload, timeout=timeout)
-        except (requests.ConnectionError, requests.Timeout) as e:
+            status, raw = _post(url, data, timeout)
+        # HTTPException (IncompleteRead, BadStatusLine) is not an OSError.
+        except (OSError, http.client.HTTPException) as e:
             last_error = f"{type(e).__name__}: {e}"
         else:
-            if resp.status_code == 200:
+            if status == 200:
                 try:
-                    body = resp.json()
+                    body = json.loads(raw)
                     if isinstance(body, dict):
                         return body
                     last_error = f"response is a JSON {type(body).__name__}, not an object"
                 except ValueError as e:
                     last_error = f"invalid JSON in response: {e}"
             else:
-                last_error = f"HTTP {resp.status_code}"
-                if 400 <= resp.status_code < 500 and resp.status_code not in _RETRIABLE_4XX:
+                last_error = f"HTTP {status}"
+                if 400 <= status < 500 and status not in _RETRIABLE_4XX:
                     raise RemoteServiceError(f"POST {url} failed: {last_error}", attempts=attempt)
         if attempt < RETRIES:
             time.sleep(BACKOFF_S * attempt)

@@ -25,32 +25,54 @@ class StubService:
     """A tiny HTTP server serving /embed and /generate, recording every request.
 
     ``embed_fn(text, dim) -> list[float]`` and ``generate_fn(prompt) -> str``
-    control responses.  ``fail_times`` makes the first N requests return
-    ``status`` (500 by default), for retry tests.  ``body``, if given, is the
-    raw body of every 200 response on either path.
+    control responses.  ``fail_times`` makes the first N POSTs return
+    ``status`` (500 by default), with a ``Location: location`` header if
+    ``location`` is given, for retry and redirect tests.  ``body``, if given,
+    is the raw body of every 200 response on either path.  ``short_by`` makes
+    every 200 response declare that many more bytes than it sends, so the
+    client sees the connection close mid-body.  Every GET is answered 404.
+
+    Each request is recorded as ``{"method", "path", "content_type", "raw",
+    "body"}``: ``raw`` is the request body as received, ``body`` its JSON.
     """
 
     def __init__(self, embed_fn=None, generate_fn=None, fail_times: int = 0, status: int = 500,
-                 body: bytes | None = None):
+                 body: bytes | None = None, location: str | None = None, short_by: int = 0):
         self.embed_fn = embed_fn or (lambda text, dim: [float(len(text))] * dim)
         self.generate_fn = generate_fn or (lambda prompt: "stub summary.")
         self.fail_times = fail_times
         self.status = status
         self.body = body
+        self.location = location
+        self.short_by = short_by
         self.requests: list[dict] = []
         self._lock = threading.Lock()
 
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
+            def _record(self, raw: bytes, body) -> None:
+                stub.requests.append({"method": self.command, "path": self.path,
+                                      "content_type": self.headers.get("Content-Type"),
+                                      "raw": raw, "body": body})
+
+            def do_GET(self):
+                with stub._lock:
+                    self._record(b"", None)
+                self.send_response(404)
+                self.end_headers()
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", "0"))
-                body = json.loads(self.rfile.read(length) or b"{}")
+                raw = self.rfile.read(length)
+                body = json.loads(raw or b"{}")
                 with stub._lock:
-                    stub.requests.append({"path": self.path, "body": body})
+                    self._record(raw, body)
                     if stub.fail_times > 0:
                         stub.fail_times -= 1
                         self.send_response(stub.status)
+                        if stub.location is not None:
+                            self.send_header("Location", stub.location)
                         self.end_headers()
                         return
                 if self.path == "/embed":
@@ -65,7 +87,7 @@ class StubService:
                 data = json.dumps(payload).encode("utf-8") if stub.body is None else stub.body
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
+                self.send_header("Content-Length", str(len(data) + stub.short_by))
                 self.end_headers()
                 self.wfile.write(data)
 

@@ -335,11 +335,29 @@ class TestValidation:
         (line,) = err.splitlines()
         assert line.startswith("runtime error:") and "JSON list, not an object" in line
 
+    def test_truncated_service_reply_is_one_error_line(self, workspace, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr("tbvad.remote.BACKOFF_S", 0.0)
+        monkeypatch.delenv("TBVAD_CACHE_DIR", raising=False)
+        with StubService(short_by=983) as svc:
+            code, _, err = run_cli(capsys, "build-knowledge", "--config", workspace["cfg"],
+                                   "--captions", str(workspace["data"] / "train.jsonl"),
+                                   "--out", str(tmp_path / "kb.json"), "--extractive",
+                                   "--embed-endpoint", svc.endpoint)
+            assert svc.request_count == 3
+        assert code == 2
+        (line,) = err.splitlines()
+        assert line.startswith(f"runtime error: POST {svc.endpoint}/embed failed: IncompleteRead")
+
     @pytest.mark.parametrize("vector", [
         lambda dim: ["x"] * dim,
         lambda dim: [0.0] * (dim - 1) + [[0.0]],
         lambda dim: [{}] * dim,
-    ], ids=["strings", "nested-list", "objects"])
+        lambda dim: ["0.1"] * dim,
+        lambda dim: [0.5] * (dim - 1) + [True],
+        lambda dim: [0.5] * (dim - 1) + [None],
+        lambda dim: [0.5] * (dim - 1) + [10 ** 400],
+    ], ids=["strings", "nested-list", "objects", "numeric-strings", "bool", "null", "huge-int"])
     def test_malformed_embedding_vector_is_one_error_line(self, workspace, tmp_path, capsys,
                                                           monkeypatch, vector):
         monkeypatch.delenv("TBVAD_CACHE_DIR", raising=False)
@@ -1079,3 +1097,12 @@ class TestCrossEval:
                                "--test-captions", str(data / "train.jsonl"))
         assert code == 1
         assert "distinct" in err
+
+
+class TestImports:
+    def test_cli_loads_no_third_party_http_client(self):
+        code = "import sys, tbvad.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

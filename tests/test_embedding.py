@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 import sys
 import tracemalloc
@@ -377,6 +378,48 @@ class TestRemoteEmbedder:
         with StubService(fail_times=99) as svc:
             with pytest.raises(RemoteServiceError, match="3 attempt"):
                 embed_tokens("zeta", self.cfg(svc.endpoint, tmp_path))
+
+    def test_request_body_is_the_compact_json_bytes(self, tmp_path):
+        with StubService() as svc:
+            embed_tokens("kappa lambda", self.cfg(svc.endpoint, tmp_path))
+            (request,) = svc.requests
+        payload = {"texts": ["kappa", "lambda"], "dim": 8}
+        assert request["raw"] == json.dumps(payload).encode("utf-8")
+        assert request["content_type"] == "application/json"
+
+    def test_truncated_reply_is_retried(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("tbvad.remote.BACKOFF_S", 0.0)
+        with StubService(short_by=983) as svc:
+            with pytest.raises(RemoteServiceError, match="IncompleteRead.*3 attempt"):
+                embed_tokens("mu", self.cfg(svc.endpoint, tmp_path))
+            assert svc.request_count == 3
+
+    def test_no_server_listening(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("tbvad.remote.BACKOFF_S", 0.0)
+        with StubService() as svc:
+            endpoint = svc.endpoint
+        with pytest.raises(RemoteServiceError, match="3 attempt") as caught:
+            embed_tokens("nu", self.cfg(endpoint, tmp_path))
+        assert caught.value.attempts == 3
+
+    def test_no_content_reply_is_retried(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("tbvad.remote.BACKOFF_S", 0.0)
+        with StubService(fail_times=99, status=204) as svc:
+            with pytest.raises(RemoteServiceError, match="HTTP 204.*3 attempt"):
+                embed_tokens("xi", self.cfg(svc.endpoint, tmp_path))
+            assert svc.request_count == 3
+
+    def test_redirect_is_followed_as_get(self, tmp_path):
+        with StubService(fail_times=1, status=302, location="/gone") as svc:
+            with pytest.raises(RemoteServiceError, match="HTTP 404.*1 attempt"):
+                embed_tokens("omicron", self.cfg(svc.endpoint, tmp_path))
+            assert [(r["method"], r["path"]) for r in svc.requests] == [("POST", "/embed"),
+                                                                         ("GET", "/gone")]
+
+    @pytest.mark.parametrize("endpoint", ["localhost:9", "file:///dev/null", "ftp://127.0.0.1:9"])
+    def test_endpoint_that_is_not_http_is_rejected(self, tmp_path, endpoint):
+        with pytest.raises(RemoteServiceError, match="not an http or https URL"):
+            embed_tokens("pi", self.cfg(endpoint, tmp_path))
 
     def test_dimension_mismatch_is_hard_error(self, tmp_path):
         with StubService(embed_fn=lambda text, dim: [0.0] * (dim + 1)) as svc:
